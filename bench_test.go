@@ -466,29 +466,50 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// loadSink keeps benchmarked loads observable to the compiler.
+var loadSink uint64
+
 // BenchmarkBacktraceOverhead quantifies the cost of deep backtraces vs the
 // default single-frame capture — the reproduction's version of §4's
-// PIN_Backtrace "up to 90% overhead" measurement.
+// PIN_Backtrace "up to 90% overhead" measurement — on a store and on the
+// hottest op, a load. Each deep-backtrace run reports its ns/op relative to
+// the single-frame run of the same op as deep/single.
 func BenchmarkBacktraceOverhead(b *testing.B) {
-	for _, deep := range []bool{false, true} {
-		name := "single-frame"
-		if deep {
-			name = "deep-backtrace"
-		}
-		deep := deep
-		b.Run(name, func(b *testing.B) {
-			rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 1 << 24, Backtraces: deep})
-			err := rt.Run(func(c *pmrt.Ctx) {
-				a := c.Alloc(64)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.Store8(a, uint64(i))
+	for _, op := range []string{"Store8", "Load8"} {
+		var single float64 // ns/op of this op's single-frame run
+		for _, deep := range []bool{false, true} {
+			name := op + "/single-frame"
+			if deep {
+				name = op + "/deep-backtrace"
+			}
+			b.Run(name, func(b *testing.B) {
+				rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 1 << 24, Backtraces: deep})
+				err := rt.Run(func(c *pmrt.Ctx) {
+					a := c.Alloc(64)
+					c.Store8(a, 1)
+					b.ResetTimer()
+					if op == "Store8" {
+						for i := 0; i < b.N; i++ {
+							c.Store8(a, uint64(i))
+						}
+					} else {
+						for i := 0; i < b.N; i++ {
+							loadSink = c.Load8(a)
+						}
+					}
+					b.StopTimer()
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				if !deep {
+					single = ns
+				} else if single > 0 {
+					b.ReportMetric(ns/single, "deep/single")
 				}
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
+		}
 	}
 }
 

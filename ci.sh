@@ -7,9 +7,14 @@
 #   go test -race   the packages with concurrency: the sharded stage ③
 #                   analysis (internal/hawkset, exercised from the root
 #                   package's app-workload differential test), the
-#                   cooperative scheduler (internal/sched), and the
+#                   cooperative scheduler (internal/sched), the
 #                   ingestion daemon (internal/pmcheckd: concurrent
-#                   tenants, fault-injected reconnects, drain/recovery)
+#                   tenants, fault-injected reconnects, drain/recovery),
+#                   and the call-site table (internal/sites), which
+#                   promises concurrent use
+#   go test -gcflags=all=-l   the call-site capture gate with inlining off:
+#                   the per-app site-table/report goldens and the pmrt
+#                   site tests must hold in both compile modes
 #   go test -bench  one iteration of every benchmark — a smoke test that
 #                   the benchmark harness still compiles and runs, not a
 #                   performance measurement — plus a targeted iteration of
@@ -43,7 +48,8 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
-go test -race . ./internal/hawkset ./internal/sched ./internal/pmcheckd
+go test -race . ./internal/hawkset ./internal/sched ./internal/pmcheckd ./internal/sites
+go test -gcflags=all=-l -run 'TestSiteTableGolden|TestSiteCapture|TestBacktraceMode' ./internal/apps ./internal/pmrt
 go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/(workers=1|reference)$' -benchtime 1x .
 go run ./cmd/pmlint -baseline pmlint.baseline ./...

@@ -14,6 +14,7 @@ package pmrt
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 
 	"hawkset/internal/obs"
 	"hawkset/internal/pmem"
@@ -188,7 +189,7 @@ func NewWithPool(cfg Config, pool *pmem.Pool, heap *pmem.Heap) *Runtime {
 // threads have finished (or a deadlock/livelock error).
 func (r *Runtime) Run(main func(c *Ctx)) error {
 	return r.Sched.Run(func(t *sched.Thread) {
-		main(&Ctx{r: r, th: t})
+		main(r.newCtx(t))
 	})
 }
 
@@ -199,6 +200,19 @@ func (r *Runtime) Run(main func(c *Ctx)) error {
 type Ctx struct {
 	r  *Runtime
 	th *sched.Thread
+	// pcs receives the return PCs each site-recording method captures (see
+	// site). A Ctx belongs to one simulated thread and the capture is
+	// consumed before the method yields, so it needs no lock.
+	pcs []uintptr
+}
+
+// newCtx creates the handle of simulated thread t.
+func (r *Runtime) newCtx(t *sched.Thread) *Ctx {
+	depth := 1
+	if r.cfg.Backtraces {
+		depth = 4
+	}
+	return &Ctx{r: r, th: t, pcs: make([]uintptr, depth)}
 }
 
 // TID returns the simulated thread's ID.
@@ -207,14 +221,26 @@ func (c *Ctx) TID() int32 { return c.th.ID() }
 // Runtime returns the owning runtime.
 func (c *Ctx) Runtime() *Runtime { return c.r }
 
-// here captures the application call site two frames up (the caller of the
-// exported Ctx method) — or, under Config.Backtraces, the four-frame call
-// chain.
-func (c *Ctx) here() sites.ID {
-	if c.r.cfg.Backtraces {
-		return c.r.Trace.Sites.HereStack(2, 4)
+// site interns the application call site of an instrumented operation.
+// Every exported Ctx method that records a site opens with
+//
+//	site := c.site(runtime.Callers(2, c.pcs))
+//
+// runtime.Callers runs in the method's own frame, so skip 2 names the
+// method's caller (0 is runtime.Callers, 1 the method) and the unwind starts
+// there; n is its return value. Skip counts logical frames, so it holds
+// whether or not the compiler inlines the method. Never capture from a
+// helper between the method and its caller: that shifts the skip and moves
+// the method's sites. Under Config.Backtraces, c.pcs holds four frames and
+// the site is the call chain from the caller; otherwise it holds one.
+func (c *Ctx) site(n int) sites.ID {
+	if n == 0 {
+		return 0
 	}
-	return c.r.Trace.Sites.Here(2)
+	if c.r.cfg.Backtraces {
+		return c.r.Trace.Sites.AtStack(c.pcs[:n])
+	}
+	return c.r.Trace.Sites.At(c.pcs[0])
 }
 
 func (c *Ctx) pre(k trace.Kind, addr uint64, size uint32) {
@@ -290,7 +316,7 @@ func (r *Runtime) elided(site sites.ID) bool {
 // Store writes data to PM at addr (a cached, temporal store: visible
 // immediately, persistent only after flush+fence).
 func (c *Ctx) Store(addr uint64, data []byte) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.storeAt(site, addr, data)
 }
 
@@ -305,26 +331,26 @@ func (c *Ctx) storeAt(site sites.ID, addr uint64, data []byte) {
 func (c *Ctx) Store8(addr uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	c.storeAt(c.here(), addr, b[:])
+	c.storeAt(c.site(runtime.Callers(2, c.pcs)), addr, b[:])
 }
 
 // Store4 writes a uint32.
 func (c *Ctx) Store4(addr uint64, v uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	c.storeAt(c.here(), addr, b[:])
+	c.storeAt(c.site(runtime.Callers(2, c.pcs)), addr, b[:])
 }
 
 // Store1 writes a byte.
 func (c *Ctx) Store1(addr uint64, v byte) {
-	c.storeAt(c.here(), addr, []byte{v})
+	c.storeAt(c.site(runtime.Callers(2, c.pcs)), addr, []byte{v})
 }
 
 // NTStore8 writes a uint64 with a non-temporal store: it bypasses the cache
 // (no flush needed) but still requires a Fence for the persistence
 // guarantee.
 func (c *Ctx) NTStore8(addr uint64, v uint64) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	c.pre(trace.KNTStore, addr, 8)
@@ -335,7 +361,7 @@ func (c *Ctx) NTStore8(addr uint64, v uint64) {
 
 // Load reads size bytes from PM at addr.
 func (c *Ctx) Load(addr uint64, size uint32) []byte {
-	return c.loadAt(c.here(), addr, size)
+	return c.loadAt(c.site(runtime.Callers(2, c.pcs)), addr, size)
 }
 
 func (c *Ctx) loadAt(site sites.ID, addr uint64, size uint32) []byte {
@@ -353,22 +379,22 @@ func (c *Ctx) loadAt(site sites.ID, addr uint64, size uint32) []byte {
 
 // Load8 reads a uint64.
 func (c *Ctx) Load8(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(c.loadAt(c.here(), addr, 8))
+	return binary.LittleEndian.Uint64(c.loadAt(c.site(runtime.Callers(2, c.pcs)), addr, 8))
 }
 
 // Load4 reads a uint32.
 func (c *Ctx) Load4(addr uint64) uint32 {
-	return binary.LittleEndian.Uint32(c.loadAt(c.here(), addr, 4))
+	return binary.LittleEndian.Uint32(c.loadAt(c.site(runtime.Callers(2, c.pcs)), addr, 4))
 }
 
 // Load1 reads a byte.
 func (c *Ctx) Load1(addr uint64) byte {
-	return c.loadAt(c.here(), addr, 1)[0]
+	return c.loadAt(c.site(runtime.Callers(2, c.pcs)), addr, 1)[0]
 }
 
 // Flush issues a CLWB for the cache line containing addr.
 func (c *Ctx) Flush(addr uint64) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.pre(trace.KFlush, addr, 0)
 	if c.r.elided(site) {
 		c.r.mElided.Inc()
@@ -381,7 +407,7 @@ func (c *Ctx) Flush(addr uint64) {
 
 // Fence issues an SFENCE, completing this thread's pending flushes.
 func (c *Ctx) Fence() {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.pre(trace.KFence, 0, 0)
 	if c.r.elided(site) {
 		c.r.mElided.Inc()
@@ -395,7 +421,7 @@ func (c *Ctx) Fence() {
 // Persist flushes every line of [addr, addr+size) and fences: the idiomatic
 // flush-and-fence sequence PM libraries expose (e.g. pmem_persist).
 func (c *Ctx) Persist(addr uint64, size uint64) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	el := c.r.elided(site)
 	if size > 0 {
 		// Subtraction-form bound: addr+size-1 wraps for ranges ending at
@@ -428,7 +454,7 @@ func (c *Ctx) Persist(addr uint64, size uint64) {
 // success) with no lock held, exactly how HawkSet sees an uninstrumented
 // CAS. Atomicity is native under the cooperative scheduler.
 func (c *Ctx) CAS8(addr uint64, old, new uint64) bool {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.pre(trace.KLoad, addr, 8)
 	cur := c.r.Pool.Load8(addr)
 	c.emit(trace.Event{Kind: trace.KLoad, TID: c.th.ID(), Addr: addr, Size: 8, Site: site})
@@ -449,7 +475,7 @@ func (c *Ctx) CAS8(addr uint64, old, new uint64) bool {
 func (c *Ctx) Alloc(size uint64) uint64 {
 	addr := c.r.Heap.Alloc(size)
 	if c.r.cfg.InstrumentAllocs {
-		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.here()})
+		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.site(runtime.Callers(2, c.pcs))})
 	}
 	return addr
 }
@@ -461,7 +487,7 @@ func (c *Ctx) Alloc(size uint64) uint64 {
 // Config.InstrumentAllocs is set.
 func (c *Ctx) RecordAlloc(addr, size uint64) {
 	if c.r.cfg.InstrumentAllocs {
-		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.here()})
+		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.site(runtime.Callers(2, c.pcs))})
 	}
 }
 
@@ -506,9 +532,9 @@ type Thread struct {
 // Spawn starts fn on a new simulated thread, recording the thread-create
 // event that drives the inter-thread happens-before analysis.
 func (c *Ctx) Spawn(fn func(c *Ctx)) *Thread {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	nt := c.th.Spawn(func(t *sched.Thread) {
-		fn(&Ctx{r: c.r, th: t})
+		fn(c.r.newCtx(t))
 	})
 	c.emit(trace.Event{Kind: trace.KThreadCreate, TID: c.th.ID(), Kid: nt.ID(), Site: site})
 	return &Thread{t: nt}
@@ -516,7 +542,7 @@ func (c *Ctx) Spawn(fn func(c *Ctx)) *Thread {
 
 // Join waits for th to finish, recording the thread-join event.
 func (c *Ctx) Join(th *Thread) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.th.Join(th.t)
 	c.emit(trace.Event{Kind: trace.KThreadJoin, TID: c.th.ID(), Kid: th.t.ID(), Site: site})
 }

@@ -2,6 +2,7 @@ package pmrt
 
 import (
 	"fmt"
+	"runtime"
 
 	"hawkset/internal/trace"
 )
@@ -28,7 +29,7 @@ func (m *Mutex) ID() uint64 { return m.id }
 
 // Lock acquires the mutex, blocking the simulated thread if it is held.
 func (c *Ctx) Lock(m *Mutex) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.pre(trace.KLockAcq, 0, 0)
 	for m.owner != nil {
 		if m.owner.th == c.th {
@@ -45,7 +46,7 @@ func (c *Ctx) Lock(m *Mutex) {
 // it succeeded. Only successful acquisitions appear in the trace, matching
 // the paper's handling of pthread_mutex_trylock-style tentative acquires.
 func (c *Ctx) TryLock(m *Mutex) bool {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.pre(trace.KLockAcq, 0, 0)
 	if m.owner != nil {
 		return false
@@ -57,7 +58,7 @@ func (c *Ctx) TryLock(m *Mutex) bool {
 
 // Unlock releases the mutex and wakes one waiter.
 func (c *Ctx) Unlock(m *Mutex) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	if m.owner == nil || m.owner.th != c.th {
 		panic(fmt.Sprintf("pmrt: T%d unlock of mutex %q it does not hold", c.TID(), m.name))
 	}
@@ -94,7 +95,7 @@ func (m *RWMutex) ID() uint64 { return m.id }
 
 // RLock acquires the lock in shared mode.
 func (c *Ctx) RLock(m *RWMutex) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.pre(trace.KLockAcq, 0, 0)
 	for m.writer != nil {
 		m.waiters = append(m.waiters, c)
@@ -106,7 +107,7 @@ func (c *Ctx) RLock(m *RWMutex) {
 
 // RUnlock releases a shared hold.
 func (c *Ctx) RUnlock(m *RWMutex) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	if m.readers <= 0 {
 		panic(fmt.Sprintf("pmrt: T%d RUnlock of rwmutex %q with no readers", c.TID(), m.name))
 	}
@@ -119,7 +120,7 @@ func (c *Ctx) RUnlock(m *RWMutex) {
 
 // WLock acquires the lock exclusively.
 func (c *Ctx) WLock(m *RWMutex) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	c.pre(trace.KLockAcq, 0, 0)
 	for m.writer != nil || m.readers > 0 {
 		if m.writer != nil && m.writer.th == c.th {
@@ -134,7 +135,7 @@ func (c *Ctx) WLock(m *RWMutex) {
 
 // WUnlock releases an exclusive hold.
 func (c *Ctx) WUnlock(m *RWMutex) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	if m.writer == nil || m.writer.th != c.th {
 		panic(fmt.Sprintf("pmrt: T%d WUnlock of rwmutex %q it does not hold", c.TID(), m.name))
 	}
@@ -169,8 +170,7 @@ type SpinLock struct {
 	waiters []*Ctx
 }
 
-// NewSpinLock creates a CAS lock whose word is at a fresh PM address
-// allocated from the heap.
+// NewSpinLock creates a CAS lock whose word is a fresh PM heap allocation.
 func (r *Runtime) NewSpinLock(c *Ctx, name string) *SpinLock {
 	r.nextLock++
 	return &SpinLock{r: r, id: r.nextLock, addr: c.Alloc(8), name: name}
@@ -184,7 +184,7 @@ func (l *SpinLock) ID() uint64 { return l.id }
 
 // SpinLock acquires l via CAS on its PM word.
 func (c *Ctx) SpinLock(l *SpinLock) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	for {
 		if c.CAS8(l.addr, 0, uint64(c.TID())+1) {
 			break
@@ -198,7 +198,7 @@ func (c *Ctx) SpinLock(l *SpinLock) {
 
 // SpinUnlock releases l by storing zero to its PM word.
 func (c *Ctx) SpinUnlock(l *SpinLock) {
-	site := c.here()
+	site := c.site(runtime.Callers(2, c.pcs))
 	if l.holder == nil || l.holder.th != c.th {
 		panic(fmt.Sprintf("pmrt: T%d unlock of spinlock %q it does not hold", c.TID(), l.name))
 	}

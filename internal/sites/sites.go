@@ -57,8 +57,9 @@ func ModuleRel(file string) string {
 // scheduled, but analyses may resolve frames from other goroutines).
 type Table struct {
 	mu      sync.Mutex
-	byPC    map[uintptr]ID
+	byRaw   map[uintptr]ID
 	byName  map[string]ID
+	byFrame map[Frame]ID
 	byStack map[[8]uintptr]ID
 	frames  []Frame
 }
@@ -67,40 +68,58 @@ type Table struct {
 // frame.
 func NewTable() *Table {
 	return &Table{
-		byPC:   make(map[uintptr]ID),
-		byName: make(map[string]ID),
-		frames: []Frame{{}},
+		byRaw:   make(map[uintptr]ID),
+		byName:  make(map[string]ID),
+		byFrame: make(map[Frame]ID),
+		frames:  []Frame{{}},
 	}
 }
 
 // Here captures the caller's call site, skipping skip additional stack
-// frames (skip 0 means the immediate caller of Here). runtime.Caller is used
-// rather than raw PC walking so inlined frames resolve to their logical
-// source location.
+// frames (skip 0 means the immediate caller of Here). Like runtime.Callers,
+// skip counts logical frames, so it is the same whether or not the compiler
+// inlined any of them.
 func (t *Table) Here(skip int) ID {
-	pc, file, line, ok := runtime.Caller(skip + 1)
-	if !ok {
+	var pc [1]uintptr
+	if runtime.Callers(skip+2, pc[:]) == 0 {
 		return 0
 	}
+	return t.At(pc[0])
+}
+
+// At interns the call site of raw, a return PC as runtime.Callers records
+// it. Hot callers capture raw themselves and hand it over, so a repeated
+// site costs one unwind step and one map hit, with no symbolisation.
+//
+// A miss resolves raw exactly as runtime.Caller does, which is
+// runtime.Callers followed by CallersFrames: the frame is the innermost
+// logical frame at raw-1, so a call inside an inlined function resolves to
+// its own source line. Raw and resolved PCs are one-to-one (CallersFrames
+// backs a return PC up by one), so interning per raw PC gives the same IDs,
+// frames and first-seen order as interning per resolved PC.
+func (t *Table) At(raw uintptr) ID {
 	t.mu.Lock()
-	if id, ok := t.byPC[pc]; ok {
-		t.mu.Unlock()
+	id, ok := t.byRaw[raw]
+	t.mu.Unlock()
+	if ok {
 		return id
 	}
-	t.mu.Unlock()
+	fr, _ := runtime.CallersFrames([]uintptr{raw}).Next()
+	if fr.PC == 0 {
+		return 0
+	}
 	fname := ""
-	if fn := runtime.FuncForPC(pc); fn != nil {
+	if fn := runtime.FuncForPC(fr.PC); fn != nil {
 		fname = fn.Name()
 	}
-	fr := Frame{File: file, Line: line, Func: fname}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.byPC[pc]; ok {
+	if id, ok := t.byRaw[raw]; ok {
 		return id
 	}
-	id := ID(len(t.frames))
-	t.frames = append(t.frames, fr)
-	t.byPC[pc] = id
+	id = ID(len(t.frames))
+	t.frames = append(t.frames, Frame{File: fr.File, Line: fr.Line, Func: fname})
+	t.byRaw[raw] = id
 	return id
 }
 
@@ -130,17 +149,19 @@ func (t *Table) Append(fr Frame) ID {
 	return id
 }
 
-// Intern adds a pre-resolved frame (used by tests and tools).
+// Intern adds a pre-resolved frame (used by tests and tools), returning the
+// existing ID when an equal frame was interned before. Its key space is
+// separate from Named's: the synthetic site "a.go:3:f" is not the frame
+// {a.go, 3, f}.
 func (t *Table) Intern(fr Frame) ID {
-	key := fmt.Sprintf("%s:%d:%s", fr.File, fr.Line, fr.Func)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.byName[key]; ok {
+	if id, ok := t.byFrame[fr]; ok {
 		return id
 	}
 	id := ID(len(t.frames))
 	t.frames = append(t.frames, fr)
-	t.byName[key] = id
+	t.byFrame[fr] = id
 	return id
 }
 
@@ -183,27 +204,29 @@ func (t *Table) SortedStrings() []string {
 }
 
 // HereStack captures the caller's call site together with up to depth-1
-// ancestor frames, interned as one unit. It is the analogue of
-// PIN_Backtrace-style deep backtraces: the resolved Frame keeps the leaf's
-// file:line while Func carries the call chain ("leaf<-caller<-..."), so
-// reports show how the racy access was reached. Deep capture is
+// ancestor frames, interned as one unit (see AtStack); skip is as for Here.
+// It is the analogue of PIN_Backtrace-style deep backtraces. Deep capture is
 // substantially more expensive than Here — the original tool measured up to
 // 90% overhead for PIN's built-in backtraces and replaced them with
 // call/return instrumentation (§4); the reproduction keeps the cheap
 // single-frame mode as the default and offers this one opt-in.
 func (t *Table) HereStack(skip, depth int) ID {
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > 8 {
-		depth = 8
-	}
+	depth = min(max(depth, 1), 8)
 	var pcs [8]uintptr
-	n := runtime.Callers(skip+2, pcs[:depth])
+	return t.AtStack(pcs[:runtime.Callers(skip+2, pcs[:depth])])
+}
+
+// AtStack interns the call chain raw, return PCs as runtime.Callers
+// records them, leaf first; PCs beyond the eighth are ignored. The resolved
+// Frame keeps the leaf's file:line while Func carries the chain
+// ("leaf<-caller<-..."), so reports show how the racy access was reached.
+// Like At, a repeated chain costs one map hit.
+func (t *Table) AtStack(raw []uintptr) ID {
+	var key [8]uintptr // array copy: the interning key
+	n := copy(key[:], raw)
 	if n == 0 {
 		return 0
 	}
-	key := pcs // array copy: the interning key
 	t.mu.Lock()
 	if id, ok := t.byStack[key]; ok {
 		t.mu.Unlock()
@@ -211,7 +234,7 @@ func (t *Table) HereStack(skip, depth int) ID {
 	}
 	t.mu.Unlock()
 
-	frames := runtime.CallersFrames(pcs[:n])
+	frames := runtime.CallersFrames(key[:n])
 	var leaf Frame
 	var chain []string
 	for i := 0; ; i++ {

@@ -1,7 +1,9 @@
 package sites
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -79,6 +81,90 @@ func TestInternPreResolved(t *testing.T) {
 	}
 	if got := tab.Lookup(a).String(); got != "x.c:42" {
 		t.Fatalf("frame renders as %q", got)
+	}
+}
+
+// TestInternDoesNotAliasNamed: Named("a.go:3:f") and Intern of the frame
+// {a.go, 3, f} are different sites. Intern once keyed its dedup on the
+// rendered "file:line:func" string in Named's map, so whichever came second
+// returned the first one's ID and frame.
+func TestInternDoesNotAliasNamed(t *testing.T) {
+	fr := Frame{File: "a.go", Line: 3, Func: "f"}
+	named := Frame{File: "a.go:3:f", Func: "a.go:3:f"}
+	for _, internFirst := range []bool{false, true} {
+		tab := NewTable()
+		var n, i ID
+		if internFirst {
+			i = tab.Intern(fr)
+			n = tab.Named("a.go:3:f")
+		} else {
+			n = tab.Named("a.go:3:f")
+			i = tab.Intern(fr)
+		}
+		if n == i {
+			t.Fatalf("internFirst=%v: Named and Intern share ID %d", internFirst, n)
+		}
+		if got := tab.Lookup(i); got != fr {
+			t.Fatalf("internFirst=%v: Intern frame = %+v, want %+v", internFirst, got, fr)
+		}
+		if got := tab.Lookup(n); got != named {
+			t.Fatalf("internFirst=%v: Named frame = %+v, want %+v", internFirst, got, named)
+		}
+	}
+}
+
+// callSite captures its caller's site twice: as the raw return PC At takes,
+// and through runtime.Caller, the reference resolution.
+func callSite(pc []uintptr) (file string, line int, fn string) {
+	runtime.Callers(2, pc)
+	cpc, file, line, _ := runtime.Caller(1)
+	return file, line, runtime.FuncForPC(cpc).Name()
+}
+
+func TestAtResolvesLikeCaller(t *testing.T) {
+	tab := NewTable()
+	var pc [1]uintptr
+	file, line, fn := callSite(pc[:])
+	id := tab.At(pc[0])
+	if got, want := tab.Lookup(id), (Frame{File: file, Line: line, Func: fn}); got != want {
+		t.Fatalf("At frame = %+v, want runtime.Caller's %+v", got, want)
+	}
+	if again := tab.At(pc[0]); again != id {
+		t.Fatalf("same raw PC interned twice: %d %d", id, again)
+	}
+	if tab.At(0) != 0 {
+		t.Fatal("raw PC 0 must be the unknown site")
+	}
+	if tab.Len() != 2 {
+		t.Fatalf("Len = %d, want the reserved frame plus one site", tab.Len())
+	}
+}
+
+// TestTableConcurrentUse drives every capture path and Lookup from several
+// goroutines (run under -race in ci.sh). All goroutines run the same code,
+// so each distinct site must be interned exactly once.
+func TestTableConcurrentUse(t *testing.T) {
+	tab := NewTable()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				var pc [1]uintptr
+				runtime.Callers(1, pc[:])
+				for _, id := range []ID{tab.At(pc[0]), tab.Here(0), tab.HereStack(0, 3), helperSite(tab, 0)} {
+					if id == 0 || tab.Lookup(id).File == "" {
+						t.Errorf("site %d did not resolve", id)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if tab.Len() != 5 { // the reserved frame plus the four capture sites
+		t.Fatalf("Len = %d, want 5: a site was interned twice\n%v", tab.Len(), tab.SortedStrings())
 	}
 }
 
