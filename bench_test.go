@@ -285,11 +285,11 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 	b.ReportMetric(float64(rt.Trace.Len()), "events/op")
 }
 
-// BenchmarkParallelAnalysis sweeps the stage-③ worker count on 100k-op
-// workloads. Workers=1 is the sequential reference path; the sharded runs
-// produce byte-identical reports (see parallel_test.go), so any speedup is
-// free accuracy-wise.
-func BenchmarkParallelAnalysis(b *testing.B) {
+// BenchmarkAnalysis times stage ③ alone on 100k-op workloads: the epoch
+// fast path (the default) and the full-VC reference path (epochs off) it is
+// measured against. The two produce byte-identical reports (see
+// TestDifferentialEpochVsReference).
+func BenchmarkAnalysis(b *testing.B) {
 	for _, name := range []string{"Fast-Fair", "Memcached-pmem"} {
 		e, err := apps.Lookup(name)
 		if err != nil {
@@ -304,11 +304,14 @@ func BenchmarkParallelAnalysis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			b.Run(benchName(e.Name, ops)+"/workers="+strconv.Itoa(workers), func(b *testing.B) {
+		for _, epochs := range []bool{true, false} {
+			sub := "epoch"
+			if !epochs {
+				sub = "reference"
+			}
+			b.Run(benchName(e.Name, ops)+"/"+sub, func(b *testing.B) {
 				cfg := hawkset.DefaultConfig()
-				cfg.Workers = workers
+				cfg.Epochs = epochs
 				var reports int
 				for i := 0; i < b.N; i++ {
 					res := hawkset.Analyze(rt.Trace, cfg)
@@ -317,19 +320,6 @@ func BenchmarkParallelAnalysis(b *testing.B) {
 				b.ReportMetric(float64(reports), "races/op")
 			})
 		}
-		// The full-VC reference path (epochs off), single worker: the cost of
-		// the exact fallback the epoch fast path is measured against.
-		b.Run(benchName(e.Name, ops)+"/reference", func(b *testing.B) {
-			cfg := hawkset.DefaultConfig()
-			cfg.Workers = 1
-			cfg.Epochs = false
-			var reports int
-			for i := 0; i < b.N; i++ {
-				res := hawkset.Analyze(rt.Trace, cfg)
-				reports = len(res.Reports)
-			}
-			b.ReportMetric(float64(reports), "races/op")
-		})
 	}
 }
 
@@ -399,7 +389,7 @@ func BenchmarkInstrumentation(b *testing.B) {
 }
 
 // BenchmarkTraceCodec measures binary trace encode/decode throughput per
-// format version on the same 100k-op workloads BenchmarkParallelAnalysis
+// format version on the same 100k-op workloads BenchmarkAnalysis
 // uses — the capture-once/analyze-many IO cost. bytes/op via -benchmem (the
 // encoded size is reported as trace-B/op), decode MB/s via SetBytes.
 func BenchmarkTraceCodec(b *testing.B) {

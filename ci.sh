@@ -4,9 +4,9 @@
 #   go vet      static checks
 #   go build    every package compiles
 #   go test     full unit + property + differential suite
-#   go test -race   the packages with concurrency: the sharded stage ③
-#                   analysis (internal/hawkset, exercised from the root
-#                   package's app-workload differential test), the
+#   go test -race   the packages with concurrency: the root package and
+#                   internal/hawkset, whose tests run instrumented programs
+#                   on pmrt's goroutine-per-thread runtime, the
 #                   cooperative scheduler (internal/sched), the
 #                   ingestion daemon (internal/pmcheckd: concurrent
 #                   tenants, fault-injected reconnects, drain/recovery),
@@ -18,7 +18,7 @@
 #   go test -bench  one iteration of every benchmark — a smoke test that
 #                   the benchmark harness still compiles and runs, not a
 #                   performance measurement — plus a targeted iteration of
-#                   the stage-③ epoch fast path (workers=1) and the full-VC
+#                   the stage-③ epoch fast path and the full-VC
 #                   reference path (Epochs off), so both analysis paths stay
 #                   runnable end to end (byte-identity between them is pinned
 #                   by TestDifferentialEpochVsReference)
@@ -51,7 +51,7 @@ go test ./...
 go test -race . ./internal/hawkset ./internal/sched ./internal/pmcheckd ./internal/sites
 go test -gcflags=all=-l -run 'TestSiteTableGolden|TestSiteCapture|TestBacktraceMode' ./internal/apps ./internal/pmrt
 go test -run '^$' -bench . -benchtime 1x ./...
-go test -run '^$' -bench 'BenchmarkParallelAnalysis/.*/(workers=1|reference)$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkAnalysis$/.*/.*/(epoch|reference)$' -benchtime 1x .
 go run ./cmd/pmlint -baseline pmlint.baseline ./...
 
 # Trace round-trip smoke: a stored trace must BE the trace. Capture once per

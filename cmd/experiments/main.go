@@ -37,24 +37,23 @@ import (
 
 func main() {
 	var (
-		t2    = flag.Bool("table2", false, "run the bug-detection experiment (Table 2)")
-		t3    = flag.Bool("table3", false, "run the PMRace comparison (Table 3)")
-		t4    = flag.Bool("table4", false, "run the IRH classification (Table 4)")
-		dur   = flag.Bool("durinn", false, "run the Durinn-style operation-level baseline (qualitative, §6.3)")
-		auto  = flag.Bool("automation", false, "print the §5.5 automation/agnosticism table")
-		f6    = flag.Bool("fig6", false, "run the scalability sweep (Figure 6)")
-		crash = flag.Bool("crash", false, "run the crash-point fault-injection sweep (app x strategy)")
-		crOps = flag.Int("crash-ops", 0, "workload size for the crash sweep (0 = per-app Table 2 sizes)")
-		opt     = flag.Bool("opt", false, "run the flush/fence redundancy analysis and gated elimination (pmopt)")
-		optOps  = flag.Int("opt-ops", 0, "workload size for the optimization sweep (0 = per-app Table 2 sizes)")
-		optApps = flag.String("opt-apps", "", "comma-separated app names for the optimization sweep (empty = all)")
-		tfmt    = flag.Bool("tracefmt", false, "compare trace format versions (size, encode/decode throughput)")
-		tfmtOps = flag.Int("tracefmt-ops", 100000, "workload size for the trace-format comparison")
-		all   = flag.Bool("all", false, "run everything")
-		seeds = flag.Int("seeds", 240, "seed-corpus size for Table 3 (paper: 240)")
-		sizes = flag.String("sizes", "1000,10000,100000", "workload sizes for Figure 6")
-		seed  = flag.Int64("seed", 42, "base seed")
-		wrk      = flag.Int("workers", 0, "stage ③ analysis goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical for any value")
+		t2       = flag.Bool("table2", false, "run the bug-detection experiment (Table 2)")
+		t3       = flag.Bool("table3", false, "run the PMRace comparison (Table 3)")
+		t4       = flag.Bool("table4", false, "run the IRH classification (Table 4)")
+		dur      = flag.Bool("durinn", false, "run the Durinn-style operation-level baseline (qualitative, §6.3)")
+		auto     = flag.Bool("automation", false, "print the §5.5 automation/agnosticism table")
+		f6       = flag.Bool("fig6", false, "run the scalability sweep (Figure 6)")
+		crash    = flag.Bool("crash", false, "run the crash-point fault-injection sweep (app x strategy)")
+		crOps    = flag.Int("crash-ops", 0, "workload size for the crash sweep (0 = per-app Table 2 sizes)")
+		opt      = flag.Bool("opt", false, "run the flush/fence redundancy analysis and gated elimination (pmopt)")
+		optOps   = flag.Int("opt-ops", 0, "workload size for the optimization sweep (0 = per-app Table 2 sizes)")
+		optApps  = flag.String("opt-apps", "", "comma-separated app names for the optimization sweep (empty = all)")
+		tfmt     = flag.Bool("tracefmt", false, "compare trace format versions (size, encode/decode throughput)")
+		tfmtOps  = flag.Int("tracefmt-ops", 100000, "workload size for the trace-format comparison")
+		all      = flag.Bool("all", false, "run everything")
+		seeds    = flag.Int("seeds", 240, "seed-corpus size for Table 3 (paper: 240)")
+		sizes    = flag.String("sizes", "1000,10000,100000", "workload sizes for Figure 6")
+		seed     = flag.Int64("seed", 42, "base seed")
 		progress = flag.Bool("progress", false, "print periodic crash-campaign progress lines to stderr")
 	)
 	var obsFlags obscli.Flags
@@ -64,7 +63,6 @@ func main() {
 		check(err)
 	}
 	metrics := obsFlags.Registry()
-	expmt.AnalysisWorkers = *wrk
 	expmt.Metrics = metrics
 	if !*t2 && !*t3 && !*t4 && !*f6 && !*dur && !*auto && !*crash && !*opt && !*tfmt && !*all {
 		flag.Usage()

@@ -57,8 +57,8 @@ func Prepare(e *apps.Entry, opCount int, seed int64, fixed bool) (*Prep, error) 
 // recording. pmopt's apply gate records the same execution with candidate
 // sites elided and counters attached; the zero value is exactly Prepare.
 type PrepOptions struct {
-	// Metrics receives the runtime's side-band counters (device_flush,
-	// device_fence, ...) for before/after comparison.
+	// Metrics receives the runtime's side-band counters (pmem.flushes,
+	// pmem.fences, ...) for before/after comparison.
 	Metrics *obs.Registry
 	// ElideSites is forwarded to pmrt.Config.ElideSites: flush/fence sites
 	// to suppress during the recording.

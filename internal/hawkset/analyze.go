@@ -1,9 +1,7 @@
 package hawkset
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"hawkset/internal/lockset"
 	"hawkset/internal/pmem"
@@ -21,15 +19,10 @@ import (
 // by cache line, records are deduplicated shapes with counts (built during
 // replay), lockset-disjointness and vector-clock comparisons are memoized by
 // interned ID pairs, and intersections short-circuit on empty or equal
-// locksets.
-//
-// The cache-line buckets are independent work units, so the pairing is
-// sharded across Config.Workers goroutines: the sorted bucket list is
-// partitioned into contiguous ranges, each worker runs with private memo
-// tables, a private report map and private counters, and the per-shard
-// results are merged in shard order. The merge reproduces the sequential
-// pair-processing order exactly, so the output is byte-identical to the
-// Workers=1 reference path for any worker count.
+// locksets. One sequential pass visits the cache-line buckets in ascending
+// address order, so reports appear in a deterministic first-appearance
+// order: every store-load report, then (with StoreStore) every store-store
+// report.
 func analyze(res *Result, cfg Config) {
 	// Buckets come from a block arena (most traces have thousands of
 	// single-record lines; one allocation per bucket was measurable), and the
@@ -70,92 +63,22 @@ func analyze(res *Result, cfg Config) {
 		lineKeys = append(lineKeys, line)
 	}
 	sort.Slice(lineKeys, func(i, j int) bool { return lineKeys[i] < lineKeys[j] })
-
 	cfg.Metrics.Gauge("hawkset.analyze.buckets").Set(int64(len(lineKeys)))
-	shards := partitionLines(buckets, lineKeys, workerCount(cfg, len(lineKeys)), cfg.StoreStore)
-	cfg.Metrics.Gauge("hawkset.analyze.shards").Set(int64(len(shards)))
-	outs := make([]*shardResult, len(shards))
-	if len(shards) == 1 {
-		// The sequential reference path (Workers=1, or a trace too small to
-		// split).
-		stop := cfg.Metrics.Stage("hawkset.stage.analyze_shard")
-		outs[0] = analyzeShard(res, cfg, buckets, shards[0])
-		stop()
-	} else {
-		var wg sync.WaitGroup
-		for i := range shards {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				stop := cfg.Metrics.Stage("hawkset.stage.analyze_shard")
-				outs[i] = analyzeShard(res, cfg, buckets, shards[i])
-				stop()
-			}(i)
-		}
-		wg.Wait()
-	}
-	stopMerge := cfg.Metrics.Stage("hawkset.stage.merge")
-	mergeShards(res, outs)
-	stopMerge()
-}
 
-// workerCount resolves Config.Workers: 0 means GOMAXPROCS, and a shard needs
-// at least one bucket to be worth a goroutine.
-func workerCount(cfg Config, nLines int) int {
-	n := cfg.Workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	p := &pairing{
+		res:      res,
+		hbFilter: cfg.HBFilter,
+		cmp:      newComparer(res.Locksets, res.VClocks, cfg.Epochs && res.EpochSafe, len(res.Stores)+len(res.Loads)),
+		index:    make(map[reportKey]int),
 	}
-	if n > nLines {
-		n = nLines
+	for _, line := range lineKeys {
+		p.storeLoad(line, buckets[line])
 	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// partitionLines splits the sorted bucket list into at most workers
-// contiguous ranges of roughly equal pairing cost (Σ stores×loads per
-// bucket, plus the store-store pairs when those are enabled). Contiguity
-// keeps the merge a simple in-order concatenation; cost weighting keeps a
-// few dense buckets from serializing the whole analysis.
-func partitionLines(buckets map[uint64]*storeLoadBucket, lineKeys []uint64, workers int, storeStore bool) [][]uint64 {
-	if workers <= 1 || len(lineKeys) <= 1 {
-		return [][]uint64{lineKeys}
-	}
-	var total uint64
-	costs := make([]uint64, len(lineKeys))
-	for i, line := range lineKeys {
-		b := buckets[line]
-		c := uint64(len(b.stores))*uint64(len(b.loads)) + 1
-		if storeStore {
-			// n stores pair as n(n-1)/2, not n²/2: the n/2 overcharge per
-			// bucket made thousands of single-store buckets (0 real pairs,
-			// charged ½ each) look as expensive as genuine pairing work and
-			// skewed the shard boundaries toward them.
-			n := uint64(len(b.stores))
-			c += n * (n - 1) / 2
-		}
-		costs[i] = c
-		total += c
-	}
-	target := total/uint64(workers) + 1
-	parts := make([][]uint64, 0, workers)
-	start := 0
-	var acc uint64
-	for i := range lineKeys {
-		acc += costs[i]
-		if acc >= target && len(parts) < workers-1 {
-			parts = append(parts, lineKeys[start:i+1])
-			start = i + 1
-			acc = 0
+	if cfg.StoreStore {
+		for _, line := range lineKeys {
+			p.storeStore(line, buckets[line])
 		}
 	}
-	if start < len(lineKeys) {
-		parts = append(parts, lineKeys[start:])
-	}
-	return parts
 }
 
 // reportKey identifies one deduplicated report. Store-load and store-store
@@ -167,228 +90,131 @@ type reportKey struct {
 	storeStore  bool
 }
 
-// shardResult is one worker's private output: its report map, the keys in
-// first-appearance order (store-load and store-store tracked separately,
-// because the sequential reference runs all store-load buckets before any
-// store-store pairing), and its share of the pair counters.
-type shardResult struct {
-	reports map[reportKey]*Report
-	orderSL []reportKey
-	orderSS []reportKey
-	stats   pairStats
-}
-
-// pairStats is the per-shard slice of the Stats pair counters.
-type pairStats struct {
-	checked, hbFiltered, lockFiltered uint64
-}
-
-// analyzeShard runs the pairing loops of Algorithm 1 over one contiguous
-// range of cache-line buckets. It touches only shard-private state plus the
-// read-only interning tables, so shards run concurrently without locks.
-func analyzeShard(res *Result, cfg Config, buckets map[uint64]*storeLoadBucket, lines []uint64) *shardResult {
-	out := &shardResult{reports: make(map[reportKey]*Report)}
-	memoHint := 0
-	for _, line := range lines {
-		b := buckets[line]
-		memoHint += len(b.stores) + len(b.loads)
-	}
-	cmp := newComparer(res.Locksets, res.VClocks, cfg.Epochs && res.EpochSafe, memoHint)
+// pairing is the state of one stage-③ pass: the comparer's memo tables, the
+// index of each report in res.Reports (which holds the reports in
+// first-appearance order) and a reusable per-bucket load scratch.
+type pairing struct {
+	res      *Result
+	hbFilter bool
+	cmp      *comparer
+	index    map[reportKey]int
 	// ldScratch caches each load's last byte and spans-lines bit per bucket,
-	// computed once instead of once per store×load pair; the slice is reused
-	// across the shard's buckets.
-	var ldScratch []ldMeta
-	for _, line := range lines {
-		b := buckets[line]
-		if cap(ldScratch) < len(b.loads) {
-			ldScratch = make([]ldMeta, len(b.loads))
-		}
-		lds := ldScratch[:len(b.loads)]
-		for i, ld := range b.loads {
-			lds[i] = ldMeta{last: lastAddrOf(ld.Addr, ld.Size), spans: spansLines(ld.Addr, ld.Size)}
-		}
-		for _, st := range b.stores {
-			stLast := lastAddrOf(st.Addr, st.Size)
-			stSpans := spansLines(st.Addr, st.Size)
-			for i, ld := range b.loads {
-				// A record spanning several lines appears in several
-				// buckets. Process the pair only in the first bucket the two
-				// records share: that counts it exactly once for any
-				// sharding of the bucket list, without the cross-bucket
-				// dedup map the sequential code used to carry (buckets are
-				// walked in ascending line order, so "first common line"
-				// and "first encounter" coincide).
-				if (stSpans || lds[i].spans) && firstCommonLine(st.Addr, ld.Addr) != line {
-					continue
-				}
+	// computed once instead of once per store×load pair.
+	ldScratch []ldMeta
+}
 
-				out.stats.checked++
-				if st.TID == ld.TID { // Algorithm 1 line 16
-					continue
-				}
-				// Inclusive-last interval test, equivalent to overlaps()
-				// with the hoisted last-byte addresses. (Algorithm 1 line 15)
-				if st.Addr > lds[i].last || ld.Addr > stLast {
-					continue
-				}
-				if cfg.HBFilter && !cmp.mayRace(st, ld) { // line 17
-					out.stats.hbFiltered++
-					continue
-				}
-				if !cmp.disjoint(st.Eff, ld.LS) { // line 18
-					out.stats.lockFiltered++
-					continue
-				}
-				key := reportKey{store: st.Site, load: ld.Site}
-				rep := out.reports[key]
-				if rep == nil {
-					rep = &Report{
-						StoreSite:  st.Site,
-						LoadSite:   ld.Site,
-						StoreFrame: res.Sites.Lookup(st.Site),
-						LoadFrame:  res.Sites.Lookup(ld.Site),
-						Addr:       st.Addr,
-						StoreTID:   st.TID,
-						LoadTID:    ld.TID,
-						EndKind:    st.EndKind,
-					}
-					out.reports[key] = rep
-					out.orderSL = append(out.orderSL, key)
-				}
-				rep.Pairs++
-				rep.Weight += st.Count * ld.Count
-				if st.EndKind != EndPersist {
-					rep.Unpersisted = true
-					rep.EndKind = st.EndKind
-					// Keep the example fields describing one real pair: a
-					// report downgraded to a non-persist end kind must point
-					// at the access pair that exhibits it, not at the first
-					// (possibly persisted) pair's location.
-					rep.Addr = st.Addr
-					rep.StoreTID = st.TID
-					rep.LoadTID = ld.TID
-				}
+// storeLoad pairs the stores of one bucket with its loads (Algorithm 1).
+func (p *pairing) storeLoad(line uint64, b *storeLoadBucket) {
+	res := p.res
+	if cap(p.ldScratch) < len(b.loads) {
+		p.ldScratch = make([]ldMeta, len(b.loads))
+	}
+	lds := p.ldScratch[:len(b.loads)]
+	for i, ld := range b.loads {
+		lds[i] = ldMeta{last: lastAddrOf(ld.Addr, ld.Size), spans: spansLines(ld.Addr, ld.Size)}
+	}
+	for _, st := range b.stores {
+		stLast := lastAddrOf(st.Addr, st.Size)
+		stSpans := spansLines(st.Addr, st.Size)
+		for i, ld := range b.loads {
+			// A record spanning several lines appears in several buckets.
+			// Process the pair only in the first bucket the two records
+			// share, which counts it exactly once without a cross-bucket
+			// dedup map.
+			if (stSpans || lds[i].spans) && firstCommonLine(st.Addr, ld.Addr) != line {
+				continue
+			}
+
+			res.Stats.PairsChecked++
+			if st.TID == ld.TID { // Algorithm 1 line 16
+				continue
+			}
+			// Inclusive-last interval test, equivalent to overlaps() with the
+			// hoisted last-byte addresses. (Algorithm 1 line 15)
+			if st.Addr > lds[i].last || ld.Addr > stLast {
+				continue
+			}
+			if p.hbFilter && !p.cmp.mayRace(st, ld) { // line 17
+				res.Stats.PairsHBFiltered++
+				continue
+			}
+			if !p.cmp.disjoint(st.Eff, ld.LS) { // line 18
+				res.Stats.PairsLockFiltered++
+				continue
+			}
+			rep := p.report(reportKey{store: st.Site, load: ld.Site}, st, ld.TID)
+			rep.Pairs++
+			rep.Weight += st.Count * ld.Count
+			if st.EndKind != EndPersist {
+				rep.Unpersisted = true
+				rep.EndKind = st.EndKind
+				// Keep the example fields describing one real pair: a report
+				// downgraded to a non-persist end kind must point at the
+				// access pair that exhibits it, not at the first (possibly
+				// persisted) pair's location.
+				rep.Addr = st.Addr
+				rep.StoreTID = st.TID
+				rep.LoadTID = ld.TID
 			}
 		}
 	}
-	if cfg.StoreStore {
-		analyzeStoreStoreShard(res, cfg, buckets, lines, cmp, out)
-	}
-	return out
 }
 
-// analyzeStoreStoreShard pairs store windows with each other — the
+// report returns the report for key, appending a new one whose example
+// fields describe the pair (st, other thread otherTID) on first appearance.
+// key.load names the second access's site: a load, or the later store of a
+// store-store pair.
+func (p *pairing) report(key reportKey, st *StoreData, otherTID int32) *Report {
+	if i, ok := p.index[key]; ok {
+		return &p.res.Reports[i]
+	}
+	p.index[key] = len(p.res.Reports)
+	p.res.Reports = append(p.res.Reports, Report{
+		StoreSite:  key.store,
+		LoadSite:   key.load,
+		StoreFrame: p.res.Sites.Lookup(key.store),
+		LoadFrame:  p.res.Sites.Lookup(key.load),
+		Addr:       st.Addr,
+		StoreTID:   st.TID,
+		LoadTID:    otherTID,
+		EndKind:    st.EndKind,
+		StoreStore: key.storeStore,
+	})
+	return &p.res.Reports[len(p.res.Reports)-1]
+}
+
+// storeStore pairs the store windows of one bucket with each other — the
 // write-write checking of classic lockset analysis that HawkSet deliberately
 // omits (§3.1.1). Two windows race if they can overlap in time (neither
 // window end happens-before the other's start) and their effective locksets
 // are disjoint.
-func analyzeStoreStoreShard(res *Result, cfg Config, buckets map[uint64]*storeLoadBucket, lines []uint64, cmp *comparer, out *shardResult) {
-	for _, line := range lines {
-		b := buckets[line]
-		for i, st := range b.stores {
-			for _, st2 := range b.stores[i+1:] {
-				if st.TID == st2.TID || !overlaps(st.Addr, st.Size, st2.Addr, st2.Size) {
-					continue
-				}
-				if (spansLines(st.Addr, st.Size) || spansLines(st2.Addr, st2.Size)) &&
-					firstCommonLine(st.Addr, st2.Addr) != line {
-					continue
-				}
-				// Write-write racing is judged at the store instructions
-				// themselves (the classic HB data-race check): an overwrite
-				// ends the earlier window exactly at the later store, so
-				// window-overlap reasoning would vacuously order every
-				// overwriting pair.
-				if cfg.HBFilter && (cmp.leq(st.Start, st2.Start) || cmp.leq(st2.Start, st.Start)) {
-					continue
-				}
-				if !cmp.disjoint(st.Eff, st2.Eff) {
-					continue
-				}
-				key := reportKey{store: st.Site, load: st2.Site, storeStore: true}
-				rep := out.reports[key]
-				if rep == nil {
-					rep = &Report{
-						StoreSite:  st.Site,
-						LoadSite:   st2.Site,
-						StoreFrame: res.Sites.Lookup(st.Site),
-						LoadFrame:  res.Sites.Lookup(st2.Site),
-						Addr:       st.Addr,
-						StoreTID:   st.TID,
-						LoadTID:    st2.TID,
-						EndKind:    st.EndKind,
-						StoreStore: true,
-					}
-					out.reports[key] = rep
-					out.orderSS = append(out.orderSS, key)
-				}
-				rep.Pairs++
-				rep.Weight += st.Count * st2.Count
-				if st.EndKind != EndPersist || st2.EndKind != EndPersist {
-					rep.Unpersisted = true
-				}
-			}
-		}
-	}
-}
-
-// mergeShards folds the per-shard reports and counters into res, in shard
-// order. Because shards cover contiguous ascending bucket ranges, walking
-// shard 0's keys, then shard 1's, … visits reports in exactly the
-// first-appearance order of the sequential path, and applying a later
-// shard's aggregate is equivalent to replaying its pairs after the earlier
-// shard's — so the merged result is identical to the Workers=1 output.
-func mergeShards(res *Result, outs []*shardResult) {
-	for _, o := range outs {
-		res.Stats.PairsChecked += o.stats.checked
-		res.Stats.PairsHBFiltered += o.stats.hbFiltered
-		res.Stats.PairsLockFiltered += o.stats.lockFiltered
-	}
-
-	reports := make(map[reportKey]*Report)
-	var order []reportKey
-	merge := func(keys []reportKey, src map[reportKey]*Report) {
-		for _, k := range keys {
-			s := src[k]
-			dst, ok := reports[k]
-			if !ok {
-				cp := *s
-				reports[k] = &cp
-				order = append(order, k)
+func (p *pairing) storeStore(line uint64, b *storeLoadBucket) {
+	for i, st := range b.stores {
+		for _, st2 := range b.stores[i+1:] {
+			if st.TID == st2.TID || !overlaps(st.Addr, st.Size, st2.Addr, st2.Size) {
 				continue
 			}
-			dst.Pairs += s.Pairs
-			dst.Weight += s.Weight
-			switch {
-			case k.storeStore:
-				// Store-store reports keep the first contributing pair as
-				// the example; only the unpersisted flag accumulates.
-				dst.Unpersisted = dst.Unpersisted || s.Unpersisted
-			case s.Unpersisted:
-				// The later shard saw a non-persist pair: sequentially it
-				// would have downgraded the report last, so its example
-				// wins.
-				dst.Unpersisted = true
-				dst.EndKind = s.EndKind
-				dst.Addr = s.Addr
-				dst.StoreTID = s.StoreTID
-				dst.LoadTID = s.LoadTID
+			if (spansLines(st.Addr, st.Size) || spansLines(st2.Addr, st2.Size)) &&
+				firstCommonLine(st.Addr, st2.Addr) != line {
+				continue
+			}
+			// Write-write racing is judged at the store instructions
+			// themselves (the classic HB data-race check): an overwrite ends
+			// the earlier window exactly at the later store, so window-overlap
+			// reasoning would vacuously order every overwriting pair.
+			if p.hbFilter && (p.cmp.leq(st.Start, st2.Start) || p.cmp.leq(st2.Start, st.Start)) {
+				continue
+			}
+			if !p.cmp.disjoint(st.Eff, st2.Eff) {
+				continue
+			}
+			rep := p.report(reportKey{store: st.Site, load: st2.Site, storeStore: true}, st, st2.TID)
+			rep.Pairs++
+			rep.Weight += st.Count * st2.Count
+			if st.EndKind != EndPersist || st2.EndKind != EndPersist {
+				rep.Unpersisted = true
 			}
 		}
-	}
-	// All store-load reports first, then store-store — matching the
-	// sequential path, which finishes the store-load buckets before running
-	// the store-store pairing.
-	for _, o := range outs {
-		merge(o.orderSL, o.reports)
-	}
-	for _, o := range outs {
-		merge(o.orderSS, o.reports)
-	}
-
-	res.Reports = make([]Report, 0, len(order))
-	for _, k := range order {
-		res.Reports = append(res.Reports, *reports[k])
 	}
 }
 
@@ -422,9 +248,9 @@ type ldMeta struct {
 	spans bool
 }
 
-// comparer memoizes interned-ID comparisons. Each analysis shard owns one:
-// the memo maps are written during pairing, while the underlying interning
-// tables are read-only by then.
+// comparer memoizes interned-ID comparisons for one stage-③ pass: the memo
+// maps are written during pairing, while the underlying interning tables are
+// read-only by then.
 //
 // With epochs enabled (Config.Epochs on a replay that kept the ownership
 // invariant), leq answers through the (tid, tick) epoch recorded for owned
@@ -440,9 +266,8 @@ type comparer struct {
 	leqMemo  map[[2]vclock.ID]bool
 }
 
-// newComparer builds a shard comparer. memoHint presizes the memo maps (the
-// shard's record count is the natural bound: a shard cannot memoize more
-// distinct pairs than pairs it checks, and record counts cap those).
+// newComparer builds a comparer. memoHint, the pass's record count, presizes
+// the memo maps (capped: most pairs never reach a memo).
 func newComparer(ls *lockset.Table, vc *vclock.Table, epochs bool, memoHint int) *comparer {
 	if memoHint > 1<<12 {
 		memoHint = 1 << 12

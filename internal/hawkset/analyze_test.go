@@ -1,13 +1,11 @@
 package hawkset
 
 import (
-	"math/rand"
+	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"hawkset/internal/pmem"
-	"hawkset/internal/pmrt"
 	"hawkset/internal/trace"
 )
 
@@ -103,8 +101,8 @@ func TestOverlapsAtAddressSpaceTop(t *testing.T) {
 		{top - 15, 8, top - 7, 8, false}, // adjacent, no shared byte
 		{0, 8, top - 7, 8, false},        // opposite ends
 		{top, 1, top, 1, true},           // single last byte
-		{0x100, 8, 0x104, 8, true},  // ordinary overlap still works
-		{0x100, 8, 0x108, 8, false}, // ordinary adjacency still works
+		{0x100, 8, 0x104, 8, true},       // ordinary overlap still works
+		{0x100, 8, 0x108, 8, false},      // ordinary adjacency still works
 		// Zero-size accesses read as one byte — the same convention
 		// lastAddrOf and linesOf use. (overlaps used to treat size 0 as an
 		// empty range, so a zero-size store was indexed under a line but
@@ -176,86 +174,65 @@ func TestRaceAtAddressSpaceTopDetected(t *testing.T) {
 	}
 }
 
-// assertWorkersAgree analyzes the trace with the sequential reference
-// (Workers=1) and several parallel worker counts, requiring byte-identical
-// reports (content and order) and identical merged stats.
-func assertWorkersAgree(t *testing.T, name string, tr *trace.Trace, cfg Config) {
-	t.Helper()
-	cfg.Workers = 1
-	want := Analyze(tr, cfg)
-	for _, n := range []int{2, 7, runtime.GOMAXPROCS(0)} {
-		cfg.Workers = n
-		got := Analyze(tr, cfg)
-		if !reflect.DeepEqual(want.Reports, got.Reports) {
-			t.Errorf("%s: Workers=%d reports differ from sequential:\nseq: %+v\npar: %+v",
-				name, n, want.Reports, got.Reports)
-		}
-		if want.Stats != got.Stats {
-			t.Errorf("%s: Workers=%d stats differ:\nseq: %+v\npar: %+v", name, n, want.Stats, got.Stats)
-		}
-	}
-}
-
-// TestParallelDifferentialQuickstart: the quickstart (Figure 1c) program,
-// captured through the instrumented runtime, analyzes identically for every
-// worker count.
-func TestParallelDifferentialQuickstart(t *testing.T) {
-	rt := pmrt.New(pmrt.Config{Seed: 1, PoolSize: 1 << 20})
-	mu := rt.NewMutex("A")
-	err := rt.Run(func(c *pmrt.Ctx) {
-		x := c.Alloc(8)
-		t1 := c.Spawn(func(c *pmrt.Ctx) {
-			c.Lock(mu)
-			c.Store8(x, 42)
-			c.Unlock(mu)
-			c.Persist(x, 8)
-		})
-		t2 := c.Spawn(func(c *pmrt.Ctx) {
-			c.Lock(mu)
-			_ = c.Load8(x)
-			c.Unlock(mu)
-		})
-		c.Join(t1)
-		c.Join(t2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.IRH = false
-	assertWorkersAgree(t, "quickstart", rt.Trace, cfg)
-}
-
-// TestParallelDifferentialSpanningStores: stores and loads spanning cache
-// lines land in several buckets; wherever a shard boundary falls between
-// two buckets sharing a record, the pair must still be counted exactly once
-// and reported identically.
-func TestParallelDifferentialSpanningStores(t *testing.T) {
+// TestSpanningPairsCountedOnce: a pair of records that both span two cache
+// lines lands in both lines' buckets, and the first-common-line rule must
+// count it exactly once — in the store-load loop and in the store-store
+// loop. Each of the 24 triples is an 8-byte store by T1 and by T3 at a_k
+// and an 8-byte load by T2 at a_k+2, all three covering lines 4+k and 5+k
+// (a_k = 0x100 + 64k + 60). T3's store overwrites T1's (EndOverwrite) and
+// stays open to the end (EndNone); nothing is locked or ordered, so every
+// overlapping cross-thread pair races.
+//
+// Hand count. Bucket 4+k holds the triples k-1 and k, so a store of triple
+// k shares a bucket with the loads of triples k-1, k and k+1. Triple k's
+// own load shares both lines and is checked only in bucket 4+k; a neighbour
+// shares one line. That is 3 loads per store for k = 1..22 and 2 for
+// k = 0, 23, so 70 per store thread and PairsChecked = 140. Only a store
+// and the load of its own triple overlap, which gives 24 pairs per store
+// thread. The one overlapping store-store pair per triple is T1/T3, which
+// gives 24. Without the rule the same-triple pairs count twice: 188
+// checked, 48 pairs per store-load report and 48 store-store pairs.
+func TestSpanningPairsCountedOnce(t *testing.T) {
 	b := trace.NewBuilder()
 	b.Create(0, 1, "c1").Create(0, 2, "c2").Create(0, 3, "c3")
-	base := uint64(0x100)
-	for i := uint64(0); i < 24; i++ {
-		addr := base + i*64 + 60 // 8-byte access spanning lines i and i+1
+	for k := uint64(0); k < 24; k++ {
+		addr := 0x100 + k*64 + 60
 		b.Store(1, addr, 8, "t1.store")
-		b.Load(2, addr+4, 8, "t2.load")
+		b.Load(2, addr+2, 8, "t2.load")
 		b.Store(3, addr, 8, "t3.store")
 	}
 	b.Join(0, 1, "j").Join(0, 2, "j").Join(0, 3, "j")
 
-	cfg := cfgNoIRH()
-	assertWorkersAgree(t, "spanning", b.T, cfg)
-	cfg.StoreStore = true
-	assertWorkersAgree(t, "spanning+store-store", b.T, cfg)
-}
-
-// TestParallelDifferentialRandomTraces fuzzes worker-count equivalence over
-// random well-formed traces, with and without store-store checking.
-func TestParallelDifferentialRandomTraces(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		tr := randTrace(rand.New(rand.NewSource(seed)))
-		assertWorkersAgree(t, "rand/default", tr, DefaultConfig())
+	// Store-load reports end on the last downgrading pair (k = 23); the
+	// store-store report keeps its first pair (k = 0) as the example.
+	const (
+		t1t2 = "store t1.store / load t2.load (addr=0x6fc, T1 vs T2, overwrite, pairs=24) weight=24 store-store=false"
+		t3t2 = "store t3.store / load t2.load (addr=0x6fc, T3 vs T2, unpersisted, pairs=24) weight=24 store-store=false"
+		t1t3 = "store t1.store / load t3.store (addr=0x13c, T1 vs T3, overwrite, pairs=24) weight=24 store-store=true"
+	)
+	for _, tc := range []struct {
+		storeStore bool
+		want       []string
+	}{
+		{false, []string{t1t2, t3t2}},
+		{true, []string{t1t2, t1t3, t3t2}},
+	} {
 		cfg := cfgNoIRH()
-		cfg.StoreStore = true
-		assertWorkersAgree(t, "rand/store-store", tr, cfg)
+		cfg.StoreStore = tc.storeStore
+		res := Analyze(b.T, cfg)
+		if got := res.Stats; got.PairsChecked != 140 || got.PairsHBFiltered != 0 || got.PairsLockFiltered != 0 {
+			t.Errorf("storeStore=%v: pairs checked/hb/lock = %d/%d/%d, want 140/0/0", tc.storeStore,
+				got.PairsChecked, got.PairsHBFiltered, got.PairsLockFiltered)
+		}
+		var got []string
+		for _, r := range res.Reports {
+			if !r.Unpersisted {
+				t.Errorf("storeStore=%v: %v not marked unpersisted", tc.storeStore, r)
+			}
+			got = append(got, fmt.Sprintf("%v weight=%d store-store=%v", r, r.Weight, r.StoreStore))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("storeStore=%v: reports\n got: %q\nwant: %q", tc.storeStore, got, tc.want)
+		}
 	}
 }

@@ -172,8 +172,8 @@ func TestDifferentialMetricsPopulated(t *testing.T) {
 
 // TestDifferentialEpochVsReference: the epoch fast path is an exact
 // reduction, so {epochs on, epochs off (full-VC reference)} × {offline,
-// stream} × {workers 1, 3} must all produce byte-identical report documents.
-// The random traces include thread creates and joins, the events whose clock
+// stream} must all produce byte-identical report documents. The random
+// traces include thread creates and joins, the events whose clock
 // propagation the epoch ownership argument is about, plus store-store
 // pairing so the write-write HB checks go through the epoch path too.
 func TestDifferentialEpochVsReference(t *testing.T) {
@@ -189,22 +189,9 @@ func TestDifferentialEpochVsReference(t *testing.T) {
 
 			epoch := ref
 			epoch.Epochs = true
-			for _, workers := range []int{1, 3} {
-				cfg := epoch
-				cfg.Workers = workers
-				if !bytes.Equal(want, renderOffline(t, tr, cfg)) {
-					return false
-				}
-				if !bytes.Equal(want, renderOnline(t, tr, cfg)) {
-					return false
-				}
-				cfgRef := ref
-				cfgRef.Workers = workers
-				if !bytes.Equal(want, renderOnline(t, tr, cfgRef)) {
-					return false
-				}
-			}
-			return true
+			return bytes.Equal(want, renderOffline(t, tr, epoch)) &&
+				bytes.Equal(want, renderOnline(t, tr, epoch)) &&
+				bytes.Equal(want, renderOnline(t, tr, ref))
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 			t.Fatalf("storeStore=%v: %v", storeStore, err)

@@ -68,17 +68,10 @@ type Config struct {
 	// original tool (it requires instrumenting non-standardized PM
 	// allocators). Traces without alloc events are unaffected.
 	AllocAware bool
-	// Workers is the number of goroutines the PM-Aware Lockset Analysis
-	// (stage ③) shards its cache-line buckets across: 0 uses GOMAXPROCS,
-	// 1 runs the sequential reference path. Every shard keeps private memo
-	// tables, reports and counters, and the shards are merged
-	// deterministically, so reports, their order and the merged Stats are
-	// byte-identical for any worker count.
-	Workers int
 	// Metrics, when non-nil, receives side-band observability data: a live
 	// event-throughput counter, the open-store retention gauges, per-stage
-	// timings (replay ①/② vs analyze ③ vs report sort, including per-shard
-	// timing in the parallel path) and the record/dedup/pair counters.
+	// timings (replay ①/② vs analyze ③ vs report sort) and the
+	// record/dedup/pair counters.
 	// Strictly side-band: the analysis never reads the registry, so Result,
 	// reports and Stats are byte-identical with Metrics nil or set — no
 	// wall-clock value ever flows into analysis output (see DESIGN.md).

@@ -116,7 +116,7 @@ var BucketBounds = [...]time.Duration{
 }
 
 // Histogram is a fixed-bucket duration histogram with count/sum/min/max.
-// Observations are atomic; concurrent shards may observe into one histogram.
+// Observations are atomic; concurrent goroutines may observe into one histogram.
 type Histogram struct {
 	count   atomic.Uint64
 	sumNS   atomic.Int64

@@ -43,10 +43,10 @@ func TestGaugeHighWater(t *testing.T) {
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("d")
-	h.Observe(500 * time.Nanosecond)  // bucket 0 (<= 1µs)
-	h.Observe(5 * time.Millisecond)   // <= 10ms
-	h.Observe(2 * time.Minute)        // +Inf overflow
-	h.Observe(-time.Second)           // clamped to 0, bucket 0
+	h.Observe(500 * time.Nanosecond) // bucket 0 (<= 1µs)
+	h.Observe(5 * time.Millisecond)  // <= 10ms
+	h.Observe(2 * time.Minute)       // +Inf overflow
+	h.Observe(-time.Second)          // clamped to 0, bucket 0
 	if got := h.Count(); got != 4 {
 		t.Fatalf("count = %d, want 4", got)
 	}
@@ -150,7 +150,7 @@ func TestWriteTable(t *testing.T) {
 	}
 }
 
-// TestConcurrentObservers: shards observe into shared metrics without a
+// TestConcurrentObservers: goroutines observe into shared metrics without a
 // registry lock; totals must add up (atomicity smoke, run with -race).
 func TestConcurrentObservers(t *testing.T) {
 	r := NewRegistry()

@@ -91,10 +91,10 @@ func Apply(e *apps.Entry, opCount int, seed int64, siteKeys []string, sweep cras
 	sb, so := regBase.Snapshot(), regOpt.Snapshot()
 	res := &ApplyResult{
 		App: e.Name, Sites: siteKeys,
-		BaselineFlushes: sb.Counter("device_flush"),
-		BaselineFences:  sb.Counter("device_fence"),
-		OptFlushes:      so.Counter("device_flush"),
-		OptFences:       so.Counter("device_fence"),
+		BaselineFlushes: sb.Counter("pmem.flushes"),
+		BaselineFences:  sb.Counter("pmem.fences"),
+		OptFlushes:      so.Counter("pmem.flushes"),
+		OptFences:       so.Counter("pmem.fences"),
 		ElidedOps:       so.Counter("pmrt.elided"),
 	}
 

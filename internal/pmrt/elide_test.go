@@ -23,17 +23,8 @@ func elideWorkload(c *Ctx) {
 	c.Fence()
 }
 
-// TestJournalDeviceCounters pins the per-op-kind journal counters
-// (device_flush / device_fence / device_store_nt) against the journal
-// itself, looked up through an obs snapshot — these counters are the
-// before/after metric for pmopt's apply gate.
-func TestJournalDeviceCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	rt := New(Config{Seed: 3, PoolSize: 1 << 14, RecordOps: true, Metrics: reg})
-	if err := rt.Run(elideWorkload); err != nil {
-		t.Fatal(err)
-	}
-	var flushes, fences, nts uint64
+// journalCounts counts the flush, fence and NT-store ops in rt's journal.
+func journalCounts(rt *Runtime) (flushes, fences, nts uint64) {
 	for _, op := range rt.Ops {
 		switch op.Kind {
 		case pmem.OpFlush:
@@ -44,19 +35,39 @@ func TestJournalDeviceCounters(t *testing.T) {
 			nts++
 		}
 	}
-	if flushes == 0 || fences == 0 || nts == 0 {
+	return flushes, fences, nts
+}
+
+// assertDeviceCountersMatchJournal requires the device's pmem.flushes,
+// pmem.fences and pmem.ntstores counters to equal the journal's op counts:
+// pmopt's apply gate reads those counters as its before/after metric.
+func assertDeviceCountersMatchJournal(t *testing.T, rt *Runtime, reg *obs.Registry) {
+	t.Helper()
+	flushes, fences, nts := journalCounts(rt)
+	snap := reg.Snapshot()
+	if got := snap.Counter("pmem.flushes"); got != flushes {
+		t.Errorf("pmem.flushes = %d, journal has %d flushes", got, flushes)
+	}
+	if got := snap.Counter("pmem.fences"); got != fences {
+		t.Errorf("pmem.fences = %d, journal has %d fences", got, fences)
+	}
+	if got := snap.Counter("pmem.ntstores"); got != nts {
+		t.Errorf("pmem.ntstores = %d, journal has %d NT stores", got, nts)
+	}
+}
+
+// TestJournalDeviceCounters pins the device counters against the journal
+// itself, looked up through an obs snapshot.
+func TestJournalDeviceCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	rt := New(Config{Seed: 3, PoolSize: 1 << 14, RecordOps: true, Metrics: reg})
+	if err := rt.Run(elideWorkload); err != nil {
+		t.Fatal(err)
+	}
+	if flushes, fences, nts := journalCounts(rt); flushes == 0 || fences == 0 || nts == 0 {
 		t.Fatalf("workload exercised no flush/fence/ntstore: %d/%d/%d", flushes, fences, nts)
 	}
-	snap := reg.Snapshot()
-	if got := snap.Counter("device_flush"); got != flushes {
-		t.Errorf("device_flush = %d, journal has %d flushes", got, flushes)
-	}
-	if got := snap.Counter("device_fence"); got != fences {
-		t.Errorf("device_fence = %d, journal has %d fences", got, fences)
-	}
-	if got := snap.Counter("device_store_nt"); got != nts {
-		t.Errorf("device_store_nt = %d, journal has %d NT stores", got, nts)
-	}
+	assertDeviceCountersMatchJournal(t, rt, reg)
 }
 
 // TestOpSitesAligned checks the OpSites side table stays 1:1 with the
@@ -97,7 +108,8 @@ func TestOpSitesAligned(t *testing.T) {
 // TestElideSites checks the elision contract: with the redundant flush's
 // site elided, (a) the persistent image is unchanged, (b) the trace equals
 // the baseline trace with exactly the elided events removed (the
-// yield-preserving guarantee), and (c) the device_flush counter drops.
+// yield-preserving guarantee), and (c) the pmem.flushes counter drops and
+// still matches the journal.
 func TestElideSites(t *testing.T) {
 	base := New(Config{Seed: 11, PoolSize: 1 << 14, RecordOps: true})
 	if err := base.Run(elideWorkload); err != nil {
@@ -156,7 +168,8 @@ func TestElideSites(t *testing.T) {
 	if got := snap.Counter("pmrt.elided"); got == 0 {
 		t.Error("pmrt.elided counter did not move")
 	}
-	if got, wantN := snap.Counter("device_flush"), uint64(nflush-1); got != wantN {
-		t.Errorf("device_flush = %d after elision, want %d", got, wantN)
+	if got, wantN := snap.Counter("pmem.flushes"), uint64(nflush-1); got != wantN {
+		t.Errorf("pmem.flushes = %d after elision, want %d", got, wantN)
 	}
+	assertDeviceCountersMatchJournal(t, elided, regE)
 }

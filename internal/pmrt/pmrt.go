@@ -119,12 +119,7 @@ type Runtime struct {
 	mEvents       *obs.Counter
 	mJournalOps   *obs.Counter
 	mJournalBytes *obs.Counter
-	// Per-op-kind journal counters: the before/after metric pmopt's apply
-	// gate compares (an elimination must strictly reduce flush+fence).
-	mDevFlush   *obs.Counter
-	mDevFence   *obs.Counter
-	mDevNTStore *obs.Counter
-	mElided     *obs.Counter
+	mElided       *obs.Counter
 
 	// elideCache memoizes per-site elision decisions (the cooperative
 	// scheduler serializes all instrumented operations, so no lock).
@@ -156,9 +151,6 @@ func New(cfg Config) *Runtime {
 		mEvents:       cfg.Metrics.Counter("pmrt.events"),
 		mJournalOps:   cfg.Metrics.Counter("pmrt.journal.ops"),
 		mJournalBytes: cfg.Metrics.Counter("pmrt.journal.bytes"),
-		mDevFlush:     cfg.Metrics.Counter("device_flush"),
-		mDevFence:     cfg.Metrics.Counter("device_fence"),
-		mDevNTStore:   cfg.Metrics.Counter("device_store_nt"),
 		mElided:       cfg.Metrics.Counter("pmrt.elided"),
 	}
 	if len(cfg.ElideSites) > 0 {
@@ -285,14 +277,6 @@ func (c *Ctx) journal(kind pmem.OpKind, addr uint64, size uint32, data []byte, s
 	c.r.OpSites = append(c.r.OpSites, site)
 	c.r.mJournalOps.Inc()
 	c.r.mJournalBytes.Add(uint64(len(cp)))
-	switch kind {
-	case pmem.OpFlush:
-		c.r.mDevFlush.Inc()
-	case pmem.OpFence:
-		c.r.mDevFence.Inc()
-	case pmem.OpNTStore:
-		c.r.mDevNTStore.Inc()
-	}
 }
 
 // elided reports whether flush/fence effects from site are suppressed under
