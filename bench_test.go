@@ -15,6 +15,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -50,13 +51,9 @@ func BenchmarkTable2BugDetection(b *testing.B) {
 	for _, e := range apps.All() {
 		e := e
 		b.Run(e.Name, func(b *testing.B) {
-			ops := 2000
-			if e.MaxOps > 0 && ops > e.MaxOps {
-				ops = e.MaxOps
-			}
 			var reports int
 			for i := 0; i < b.N; i++ {
-				res, err := apps.Detect(e, ops, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
+				res, err := apps.Detect(e, e.Workload(2000, 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -84,11 +81,10 @@ func BenchmarkTable3PerSeedCost(b *testing.B) {
 		found := 0
 		for i := 0; i < b.N; i++ {
 			w := seeds[i%len(seeds)]
-			rt, err := apps.Run(e, w, apps.RunConfig{Seed: int64(i)})
+			res, err := apps.Detect(e, w, apps.RunConfig{Seed: int64(i)}, hawkset.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
 			found += len(apps.FoundBugs(e, res))
 		}
 		b.ReportMetric(float64(found)/float64(b.N), "bugs/op")
@@ -124,12 +120,10 @@ func BenchmarkFig6aTestingTime(b *testing.B) {
 			b.Run(benchName(e.Name, ops), func(b *testing.B) {
 				var events int
 				for i := 0; i < b.N; i++ {
-					w := ycsb.Generate(e.Spec(ops), 42)
-					rt, err := apps.Run(e, w, apps.RunConfig{Seed: 42})
+					res, err := apps.Detect(e, e.Workload(ops, 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 					if err != nil {
 						b.Fatal(err)
 					}
-					res := hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
 					events = res.Stats.Events
 				}
 				b.ReportMetric(float64(events), "events/op")
@@ -138,32 +132,28 @@ func BenchmarkFig6aTestingTime(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6bPeakMemory reports the heap high-water mark of one detect
-// cycle per application — Figure 6b's peak memory.
+// BenchmarkFig6bPeakMemory reports the heap in use after one streaming detect
+// cycle per application, with its Result live — Figure 6b's peak memory,
+// measured the way expmt.Fig6 measures it.
 func BenchmarkFig6bPeakMemory(b *testing.B) {
 	for _, e := range apps.All() {
 		e := e
-		ops := 10000
-		if e.MaxOps > 0 && ops > e.MaxOps {
-			ops = e.MaxOps
-		}
 		b.Run(e.Name, func(b *testing.B) {
 			var peak uint64
 			for i := 0; i < b.N; i++ {
 				runtime.GC()
 				var before runtime.MemStats
 				runtime.ReadMemStats(&before)
-				w := ycsb.Generate(e.Spec(ops), 42)
-				rt, err := apps.Run(e, w, apps.RunConfig{Seed: 42})
+				res, err := apps.Detect(e, e.Workload(10000, 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
-				_ = hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
 				var after runtime.MemStats
 				runtime.ReadMemStats(&after)
 				if after.HeapAlloc > before.HeapAlloc {
 					peak = after.HeapAlloc - before.HeapAlloc
 				}
+				runtime.KeepAlive(res)
 			}
 			b.ReportMetric(float64(peak), "peak-B/op")
 		})
@@ -295,15 +285,12 @@ func BenchmarkAnalysis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ops := 100000
-		if e.MaxOps > 0 && ops > e.MaxOps {
-			ops = e.MaxOps
-		}
-		w := ycsb.Generate(e.Spec(ops), 42)
+		w := e.Workload(100000, 42)
 		rt, err := apps.Run(e, w, apps.RunConfig{Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
+		ops := w.TotalOps()
 		for _, epochs := range []bool{true, false} {
 			sub := "epoch"
 			if !epochs {
@@ -390,8 +377,10 @@ func BenchmarkInstrumentation(b *testing.B) {
 
 // BenchmarkTraceCodec measures binary trace encode/decode throughput per
 // format version on the same 100k-op workloads BenchmarkAnalysis
-// uses — the capture-once/analyze-many IO cost. bytes/op via -benchmem (the
-// encoded size is reported as trace-B/op), decode MB/s via SetBytes.
+// uses — the capture-once/analyze-many IO cost. Decode streams through the
+// Decoder without retaining events, the way -trace-in and the daemon read.
+// bytes/op via -benchmem (the encoded size is reported as trace-B/op),
+// decode MB/s via SetBytes.
 func BenchmarkTraceCodec(b *testing.B) {
 	versions := []struct {
 		name string
@@ -406,15 +395,12 @@ func BenchmarkTraceCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ops := 100000
-		if e.MaxOps > 0 && ops > e.MaxOps {
-			ops = e.MaxOps
-		}
-		w := ycsb.Generate(e.Spec(ops), 42)
+		w := e.Workload(100000, 42)
 		rt, err := apps.Run(e, w, apps.RunConfig{Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
+		ops := w.TotalOps()
 		for _, v := range versions {
 			v := v
 			var enc bytes.Buffer
@@ -435,8 +421,16 @@ func BenchmarkTraceCodec(b *testing.B) {
 			b.Run("decode/"+benchName(e.Name, ops)+"/"+v.name, func(b *testing.B) {
 				b.SetBytes(int64(len(raw)))
 				for i := 0; i < b.N; i++ {
-					if _, err := trace.Decode(bytes.NewReader(raw)); err != nil {
+					dec, err := trace.NewDecoder(bytes.NewReader(raw))
+					if err != nil {
 						b.Fatal(err)
+					}
+					for {
+						if _, err := dec.Next(); err == io.EOF {
+							break
+						} else if err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 				b.ReportMetric(float64(rt.Trace.Len()), "events/op")

@@ -54,13 +54,15 @@ go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench '^BenchmarkAnalysis$/.*/.*/(epoch|reference)$' -benchtime 1x .
 go run ./cmd/pmlint -baseline pmlint.baseline ./...
 
-# Trace round-trip smoke: a stored trace must BE the trace. Capture once per
-# format version, re-analyze the file through the streaming decoder, and
-# require the JSON report to be byte-identical to the in-process analysis of
-# the same run; then one targeted iteration of the codec benchmark so the
-# decode path stays runnable under the harness.
+# Trace round-trip smoke: a stored trace must BE the trace. Run in-process
+# once without capture (the default path: execution streams straight into
+# the analysis, no trace retained), then capture once per format version and
+# re-analyze the file through the streaming decoder; both JSON reports must
+# be byte-identical to the uncaptured run's. Then one targeted iteration of
+# the codec benchmark so the decode path stays runnable under the harness.
 TRACE_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP"' EXIT
+go run ./cmd/hawkset -app Fast-Fair -ops 1000 -seed 7 -json "$TRACE_TMP/stream.json"
 for fmt in "1" "2" "2 -trace-compress"; do
     # shellcheck disable=SC2086 # $fmt intentionally splits into flags
     go run ./cmd/hawkset -app Fast-Fair -ops 1000 -seed 7 \
@@ -68,7 +70,8 @@ for fmt in "1" "2" "2 -trace-compress"; do
         -json "$TRACE_TMP/inproc.json"
     go run ./cmd/hawkset -app Fast-Fair -ops 1000 -seed 7 \
         -trace-in "$TRACE_TMP/t.hwkt" -json "$TRACE_TMP/file.json"
-    diff "$TRACE_TMP/inproc.json" "$TRACE_TMP/file.json"
+    diff "$TRACE_TMP/stream.json" "$TRACE_TMP/inproc.json"
+    diff "$TRACE_TMP/stream.json" "$TRACE_TMP/file.json"
     go run ./cmd/tracedump -head 3 "$TRACE_TMP/t.hwkt" > /dev/null
 done
 go test -run '^$' -bench 'BenchmarkTraceCodec/decode' -benchtime 1x .

@@ -1,6 +1,7 @@
 // Command hawkset runs a registered PM application under the instrumented
-// runtime, applies HawkSet's PM-Aware Lockset Analysis to the recorded
-// trace, and prints the persistency-induced race reports.
+// runtime, applies HawkSet's PM-Aware Lockset Analysis to its events as
+// they stream out of the execution, and prints the persistency-induced race
+// reports.
 //
 // Usage:
 //
@@ -87,6 +88,15 @@ func main() {
 	var entry *apps.Entry
 	var res *hawkset.Result
 	if *traceIn != "" {
+		// A stored trace is re-analyzed, not executed or captured, so flags
+		// that shape an execution or its capture would be silently ignored.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workload", "workload-out", "trace-out", "trace-format", "trace-compress", "fixed", "eadr":
+				fmt.Fprintf(os.Stderr, "hawkset: -%s cannot be used with -trace-in, which executes nothing\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		// A stored trace carries no application identity, so classification
 		// is available only when -app is given explicitly; the report is then
 		// labeled exactly as the in-process run would label it.
@@ -139,16 +149,10 @@ func main() {
 			time.Since(start).Round(time.Millisecond),
 			res.Stats.StoreRecords, res.Stats.LoadRecords, res.Stats.PairsChecked)
 	} else {
-		var tr *trace.Trace
 		var err error
 		entry, err = apps.Lookup(*appName)
 		if err != nil {
 			fatal(err)
-		}
-		n := *ops
-		if entry.MaxOps > 0 && n > entry.MaxOps {
-			fmt.Printf("note: %s is capped at %d operations (§5)\n", entry.Name, entry.MaxOps)
-			n = entry.MaxOps
 		}
 		var w *ycsb.Workload
 		if *wlIn != "" {
@@ -164,7 +168,10 @@ func main() {
 			fmt.Printf("loaded workload %s: %d load ops, %d main ops, %d threads\n",
 				w.Name, len(w.Load), w.TotalOps(), len(w.Threads))
 		} else {
-			w = ycsb.Generate(entry.Spec(n), *seed)
+			w = entry.Workload(*ops, *seed)
+			if w.TotalOps() < *ops {
+				fmt.Printf("note: %s is capped at %d operations (§5)\n", entry.Name, entry.MaxOps)
+			}
 		}
 		if *wlOut != "" {
 			f, err := os.Create(*wlOut)
@@ -179,21 +186,28 @@ func main() {
 			}
 			fmt.Printf("workload written to %s\n", *wlOut)
 		}
+		// Execution streams every event into the analysis; the trace is
+		// retained only when -trace-out asks for a copy.
+		runCfg := apps.RunConfig{Seed: *seed, Fixed: *fixed, EADR: *eadr, Metrics: metrics}
+		var events []trace.Event
+		if *traceOut != "" {
+			runCfg.EventSink = func(e trace.Event) { events = append(events, e) }
+		}
 		start := time.Now()
-		rt, err := apps.Run(entry, w, apps.RunConfig{Seed: *seed, Fixed: *fixed, EADR: *eadr, Metrics: metrics})
-		if err != nil {
+		if res, err = apps.Detect(entry, w, runCfg, cfg); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("executed %s: %d ops, %d trace events in %v\n",
-			entry.Name, w.TotalOps(), rt.Trace.Len(), time.Since(start).Round(time.Millisecond))
-		tr = rt.Trace
+		fmt.Printf("executed and analyzed %s: %d ops, %d trace events in %v\n",
+			entry.Name, w.TotalOps(), res.Stats.Events, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("analysis: %d store records, %d load records, %d pairs checked\n",
+			res.Stats.StoreRecords, res.Stats.LoadRecords, res.Stats.PairsChecked)
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
 				fatal(err)
 			}
 			opts := trace.Options{Version: *traceFmt, Compress: *traceZip}
-			if err := trace.EncodeWith(f, tr, opts); err != nil {
+			if err := trace.EncodeWith(f, &trace.Trace{Sites: res.Sites, Events: events}, opts); err != nil {
 				fatal(err)
 			}
 			if err := f.Close(); err != nil {
@@ -201,12 +215,6 @@ func main() {
 			}
 			fmt.Printf("trace written to %s (format v%d)\n", *traceOut, *traceFmt)
 		}
-
-		start = time.Now()
-		res = hawkset.Analyze(tr, cfg)
-		fmt.Printf("analysis: %v, %d store records, %d load records, %d pairs checked\n",
-			time.Since(start).Round(time.Millisecond),
-			res.Stats.StoreRecords, res.Stats.LoadRecords, res.Stats.PairsChecked)
 	}
 
 	if *jsonOut != "" {

@@ -42,7 +42,6 @@ import (
 	"hawkset/internal/obscli"
 	"hawkset/internal/pmcheckd"
 	"hawkset/internal/report"
-	"hawkset/internal/ycsb"
 
 	_ "hawkset/internal/apps/apex"
 	_ "hawkset/internal/apps/fastfair"
@@ -207,11 +206,7 @@ func runRemote(addr, tenant, appName string, ops int, seed int64, fixed, verify,
 	if err != nil {
 		return err
 	}
-	n := ops
-	if entry.MaxOps > 0 && n > entry.MaxOps {
-		n = entry.MaxOps
-	}
-	w := ycsb.Generate(entry.Spec(n), seed)
+	w := entry.Workload(ops, seed)
 	workload := fmt.Sprintf("ycsb ops=%d seed=%d", ops, seed)
 	if tenant == "" {
 		tenant = fmt.Sprintf("%s-seed%d", entry.Name, seed)

@@ -28,7 +28,7 @@ func main() {
 	const ops, seed = 4000, 42
 
 	fmt.Println("=== step 1: HawkSet reports the races (no crash needed) ===")
-	res, err := apps.Detect(e, ops, seed, apps.RunConfig{Seed: seed}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(ops, seed), apps.RunConfig{Seed: seed}, hawkset.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 
 	"hawkset/internal/apps"
 	"hawkset/internal/hawkset"
-	"hawkset/internal/ycsb"
+	"hawkset/internal/obs"
 
 	_ "hawkset/internal/apps/madfs"
 )
@@ -28,12 +28,13 @@ func main() {
 	}
 
 	fmt.Println("=== MadFS audit: 2000 zipfian 4 KiB writes, 8 threads ===")
-	w := ycsb.Generate(e.Spec(2000), 7)
-	rt, err := apps.Run(e, w, apps.RunConfig{Seed: 7})
+	// The device's side-band counters report the crash image's dirty lines
+	// without keeping the runtime around.
+	metrics := obs.NewRegistry()
+	res, err := apps.Detect(e, e.Workload(2000, 7), apps.RunConfig{Seed: 7, Metrics: metrics}, hawkset.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
 
 	bd := apps.Breakdown(e, res)
 	fmt.Printf("%d reports: %d malign, %d benign, %d FP\n",
@@ -49,5 +50,5 @@ func main() {
 
 	// Crash-image inspection: the log is durable, the block table is not.
 	fmt.Println()
-	fmt.Printf("dirty cache lines at shutdown (never fsynced): %d\n", rt.Pool.DirtyLines())
+	fmt.Printf("dirty cache lines at shutdown (never fsynced): %d\n", metrics.Gauge("pmem.dirty_lines").Value())
 }

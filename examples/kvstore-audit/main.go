@@ -37,7 +37,7 @@ func audit(name string, ops int) {
 	}
 	fmt.Printf("=== auditing %s (%d ops, 8 threads) ===\n", name, ops)
 	for _, fixed := range []bool{false, true} {
-		res, err := apps.Detect(e, ops, 42, apps.RunConfig{Seed: 42, Fixed: fixed}, hawkset.DefaultConfig())
+		res, err := apps.Detect(e, e.Workload(ops, 42), apps.RunConfig{Seed: 42, Fixed: fixed}, hawkset.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func coverageDemo() {
 	}
 	fmt.Println("=== TurboHash bug #3 needs coverage (buckets must fill) ===")
 	for _, ops := range []int{1000, 5000, 20000} {
-		res, err := apps.Detect(e, ops, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
+		res, err := apps.Detect(e, e.Workload(ops, 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

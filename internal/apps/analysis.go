@@ -4,22 +4,40 @@ import (
 	"sort"
 
 	"hawkset/internal/hawkset"
+	"hawkset/internal/trace"
 	"hawkset/internal/ycsb"
 )
 
-// Detect runs a generated workload against the application and analyzes the
-// trace with HawkSet, returning the analysis result. It is the
-// one-call-per-application path the experiments and tests share.
-func Detect(e *Entry, opCount int, seed int64, runCfg RunConfig, cfg hawkset.Config) (*hawkset.Result, error) {
+// Workload generates the entry's workload of opCount main-phase operations
+// from seed, capped at MaxOps. It is the one place the cap is applied.
+func (e *Entry) Workload(opCount int, seed int64) *ycsb.Workload {
 	if e.MaxOps > 0 && opCount > e.MaxOps {
 		opCount = e.MaxOps
 	}
-	w := ycsb.Generate(e.Spec(opCount), seed)
-	rt, err := Run(e, w, runCfg)
-	if err != nil {
+	return ycsb.Generate(e.Spec(opCount), seed)
+}
+
+// Detect executes a workload against the application and analyzes it
+// online: every event streams from the runtime into a hawkset.Stream as it
+// is emitted, so no trace is retained (the runtime runs with NoTrace). It
+// is the one in-process detection path the CLI, the experiments and the
+// tests share. When runCfg.EventSink is set it is called with every event
+// too, after the stream has consumed it — a tee for callers that also
+// capture the trace; res.Sites is the site table those events refer to.
+func Detect(e *Entry, w *ycsb.Workload, runCfg RunConfig, cfg hawkset.Config) (*hawkset.Result, error) {
+	tee := runCfg.EventSink
+	runCfg.NoTrace = true
+	rt := NewRuntime(e, runCfg)
+	st := hawkset.NewStream(rt.Trace.Sites, cfg)
+	feed := func(ev trace.Event) { st.Feed(ev) } //nolint:errcheck // Feed only errors after Finish
+	rt.EventSink = feed
+	if tee != nil {
+		rt.EventSink = func(ev trace.Event) { feed(ev); tee(ev) }
+	}
+	if err := RunOn(rt, e.Factory(rt, runCfg.Fixed), w); err != nil {
 		return nil, err
 	}
-	return hawkset.Analyze(rt.Trace, cfg), nil
+	return st.Finish()
 }
 
 // FoundBugs maps analysis reports back to the application's registered

@@ -68,7 +68,7 @@ func TestFixedSearchTakesLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := apps.Detect(e, 2000, 3, apps.RunConfig{Seed: 3, Fixed: true}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(2000, 3), apps.RunConfig{Seed: 3, Fixed: true}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBuggyReportsArePersistedStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := apps.Detect(e, 2000, 3, apps.RunConfig{Seed: 3}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(2000, 3), apps.RunConfig{Seed: 3}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

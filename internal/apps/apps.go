@@ -197,9 +197,9 @@ type RunConfig struct {
 	// counters (see pmrt.Config.Metrics). Execution is unaffected.
 	Metrics *obs.Registry
 	// EventSink, when non-nil, receives every instrumented event as it is
-	// emitted (see pmrt.Runtime.EventSink) — the hookup for streaming the
-	// trace into a hawkset.Stream or a pmcheckd daemon, usually combined
-	// with NoTrace so no events are retained locally.
+	// emitted (see pmrt.Runtime.EventSink). Detect, which streams into its
+	// own hawkset.Stream with NoTrace, calls it after the stream as a tee:
+	// that is how hawkset -trace-out captures the trace of a detection run.
 	EventSink func(e trace.Event)
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"hawkset/internal/pmem"
 	"hawkset/internal/pmrt"
-	"hawkset/internal/ycsb"
 )
 
 // CrashValidator is implemented by applications that can check their own
@@ -40,10 +39,7 @@ type CrashPointValidator interface {
 // violations (empty when the image is consistent) and errors if the
 // application does not implement CrashValidator.
 func RunAndValidate(e *Entry, opCount int, seed int64, cfg RunConfig) ([]string, error) {
-	if e.MaxOps > 0 && opCount > e.MaxOps {
-		opCount = e.MaxOps
-	}
-	w := ycsb.Generate(e.Spec(opCount), seed)
+	w := e.Workload(opCount, seed)
 	poolSize := e.PoolSize
 	if poolSize == 0 {
 		poolSize = 32 << 20

@@ -78,7 +78,7 @@ func TestConcurrentFunctional(t *testing.T) {
 // big enough to grow the tree.
 func TestDetectsBugs(t *testing.T) {
 	e := entry(t)
-	res, err := apps.Detect(e, 2000, 3, apps.RunConfig{Seed: 3}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(2000, 3), apps.RunConfig{Seed: 3}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDetectsBugs(t *testing.T) {
 // TestFixedVariantClean: the fixed tree yields no malign reports.
 func TestFixedVariantClean(t *testing.T) {
 	e := entry(t)
-	res, err := apps.Detect(e, 2000, 3, apps.RunConfig{Seed: 3, Fixed: true}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(2000, 3), apps.RunConfig{Seed: 3, Fixed: true}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFixedVariantClean(t *testing.T) {
 // (§7: lockset analysis fundamentally reports lock-free readers).
 func TestBenignRacesReported(t *testing.T) {
 	e := entry(t)
-	res, err := apps.Detect(e, 2000, 3, apps.RunConfig{Seed: 3, Fixed: true}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(2000, 3), apps.RunConfig{Seed: 3, Fixed: true}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBenignRacesReported(t *testing.T) {
 // classifies as malign or benign (Table 4 row: FP=0 after IRH).
 func TestNoFalsePositivesWithIRH(t *testing.T) {
 	e := entry(t)
-	res, err := apps.Detect(e, 2000, 3, apps.RunConfig{Seed: 3}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(2000, 3), apps.RunConfig{Seed: 3}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestNoFalsePositivesWithIRH(t *testing.T) {
 // of the extras being false positives (Table 4).
 func TestIRHPrunesReports(t *testing.T) {
 	e := entry(t)
-	on, err := apps.Detect(e, 2000, 3, apps.RunConfig{Seed: 3}, hawkset.DefaultConfig())
+	on, err := apps.Detect(e, e.Workload(2000, 3), apps.RunConfig{Seed: 3}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := hawkset.DefaultConfig()
 	cfg.IRH = false
-	off, err := apps.Detect(e, 2000, 3, apps.RunConfig{Seed: 3}, cfg)
+	off, err := apps.Detect(e, e.Workload(2000, 3), apps.RunConfig{Seed: 3}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,10 @@ func TestSmallWorkloadMissesRareBug(t *testing.T) {
 	spec.LoadCount = 2
 	spec.KeySpace = 4
 	w := ycsb.Generate(spec, 1)
-	rt, err := apps.Run(e, w, apps.RunConfig{Seed: 1})
+	res, err := apps.Detect(e, w, apps.RunConfig{Seed: 1}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
 	for _, id := range apps.FoundBugs(e, res) {
 		if id == 2 {
 			t.Fatal("bug #2 reported without tree growth — coverage accounting broken")
@@ -248,11 +247,10 @@ func TestScanWorkloadDetectsBug1(t *testing.T) {
 	spec := ycsb.DefaultSpec(2000)
 	spec.Mix = ycsb.ScanMix()
 	w := ycsb.Generate(spec, 5)
-	rt, err := apps.Run(e, w, apps.RunConfig{Seed: 5})
+	res, err := apps.Detect(e, w, apps.RunConfig{Seed: 5}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
 	found := apps.FoundBugs(e, res)
 	has1 := false
 	for _, id := range found {

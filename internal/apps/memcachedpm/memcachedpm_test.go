@@ -156,13 +156,13 @@ func TestAllocAwareIRHPrunesReuseFPs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := apps.Detect(e, 4000, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
+	plain, err := apps.Detect(e, e.Workload(4000, 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	aware := hawkset.DefaultConfig()
 	aware.AllocAware = true
-	extended, err := apps.Detect(e, 4000, 42,
+	extended, err := apps.Detect(e, e.Workload(4000, 42),
 		apps.RunConfig{Seed: 42, InstrumentAllocs: true}, aware)
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestSpinLockWordReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := apps.Detect(e, 2000, 5, apps.RunConfig{Seed: 5, Fixed: true}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(2000, 5), apps.RunConfig{Seed: 5, Fixed: true}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestDetectAllSeededBugs(t *testing.T) {
 	for _, e := range apps.All() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			res, err := apps.Detect(e, detectOps[e.Name], 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
+			res, err := apps.Detect(e, e.Workload(detectOps[e.Name], 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestFixedVariantsClean(t *testing.T) {
 	for _, e := range apps.All() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			res, err := apps.Detect(e, detectOps[e.Name], 42, apps.RunConfig{Seed: 42, Fixed: true}, hawkset.DefaultConfig())
+			res, err := apps.Detect(e, e.Workload(detectOps[e.Name], 42), apps.RunConfig{Seed: 42, Fixed: true}, hawkset.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,11 +153,11 @@ func TestIRHNeverPrunesMalign(t *testing.T) {
 		t.Run(e.Name, func(t *testing.T) {
 			noIRH := hawkset.DefaultConfig()
 			noIRH.IRH = false
-			off, err := apps.Detect(e, detectOps[e.Name], 42, apps.RunConfig{Seed: 42}, noIRH)
+			off, err := apps.Detect(e, e.Workload(detectOps[e.Name], 42), apps.RunConfig{Seed: 42}, noIRH)
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := apps.Detect(e, detectOps[e.Name], 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
+			on, err := apps.Detect(e, e.Workload(detectOps[e.Name], 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestMadFSOnlyBenign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := apps.Detect(e, 1000, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(1000, 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMemcachedReuseDefeatsIRH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := apps.Detect(e, 5000, 42, apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
+	res, err := apps.Detect(e, e.Workload(5000, 42), apps.RunConfig{Seed: 42}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +214,11 @@ func TestDeterministicDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := apps.Detect(e, 1000, 9, apps.RunConfig{Seed: 9}, hawkset.DefaultConfig())
+	a, err := apps.Detect(e, e.Workload(1000, 9), apps.RunConfig{Seed: 9}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := apps.Detect(e, 1000, 9, apps.RunConfig{Seed: 9}, hawkset.DefaultConfig())
+	b, err := apps.Detect(e, e.Workload(1000, 9), apps.RunConfig{Seed: 9}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +257,12 @@ func TestMaxOpsCap(t *testing.T) {
 	}
 	if e.MaxOps != 1000 {
 		t.Fatalf("P-ART MaxOps = %d, want the paper's 1k cap", e.MaxOps)
+	}
+	if got := e.Workload(5000, 1).TotalOps(); got != 1000 {
+		t.Fatalf("P-ART workload of 5000 ops has %d, want the 1k cap", got)
+	}
+	if got := e.Workload(500, 1).TotalOps(); got != 500 {
+		t.Fatalf("P-ART workload of 500 ops has %d, want 500", got)
 	}
 }
 

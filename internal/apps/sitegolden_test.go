@@ -16,7 +16,6 @@ import (
 	"hawkset/internal/hawkset"
 	"hawkset/internal/report"
 	"hawkset/internal/sites"
-	"hawkset/internal/ycsb"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the site-table golden of the current compile mode")
@@ -29,7 +28,9 @@ const (
 )
 
 // TestSiteTableGolden pins, for every registered app, the sha256 of the JSON
-// report and the ordered call-site table of one seeded run. Site IDs are
+// report and the ordered call-site table of one seeded, streaming run
+// (apps.Detect), and requires the retained-trace path to give the same
+// report. Site IDs are
 // assigned in first-seen order, so the table catches any change to which
 // frame call-site capture resolves, to the interning order, or to the
 // dedup rule. Frames render as sites.ModuleRel(file):line:func, so the
@@ -46,24 +47,24 @@ func TestSiteTableGolden(t *testing.T) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	var got bytes.Buffer
 	for _, e := range entries {
-		n := goldenOps
-		if e.MaxOps > 0 && n > e.MaxOps {
-			n = e.MaxOps
+		w := e.Workload(goldenOps, goldenSeed)
+		workload := fmt.Sprintf("ycsb ops=%d seed=%d", w.TotalOps(), goldenSeed)
+		res, err := apps.Detect(e, w, apps.RunConfig{Seed: goldenSeed}, hawkset.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		w := ycsb.Generate(e.Spec(n), goldenSeed)
+		js := reportJSON(t, e, res, workload)
+		// The retained-trace path, which -verify, crash injection and trace
+		// capture still use, must give the same report.
 		rt, err := apps.Run(e, w, apps.RunConfig{Seed: goldenSeed})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		res := hawkset.Analyze(rt.Trace, hawkset.DefaultConfig())
-		classify := func(r hawkset.Report) string { return e.Classify(r).String() }
-		doc := report.New(res, e.Name, fmt.Sprintf("ycsb ops=%d seed=%d", n, goldenSeed), classify)
-		var js bytes.Buffer
-		if err := doc.WriteJSON(&js); err != nil {
-			t.Fatal(err)
+		if off := reportJSON(t, e, hawkset.Analyze(rt.Trace, hawkset.DefaultConfig()), workload); !bytes.Equal(off, js) {
+			t.Errorf("%s: apps.Run+hawkset.Analyze report differs from apps.Detect's", e.Name)
 		}
-		fmt.Fprintf(&got, "== %s report sha256 %x\n", e.Name, sha256.Sum256(js.Bytes()))
-		for id, f := range rt.Trace.Sites.Frames() {
+		fmt.Fprintf(&got, "== %s report sha256 %x\n", e.Name, sha256.Sum256(js))
+		for id, f := range res.Sites.Frames() {
 			if id == 0 {
 				continue
 			}
@@ -104,6 +105,17 @@ func TestSiteTableGolden(t *testing.T) {
 			t.Fatalf("site tables diverge from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
 		}
 	}
+}
+
+// reportJSON renders res as the classified JSON report document.
+func reportJSON(t *testing.T, e *apps.Entry, res *hawkset.Result, workload string) []byte {
+	t.Helper()
+	classify := func(r hawkset.Report) string { return e.Classify(r).String() }
+	var js bytes.Buffer
+	if err := report.New(res, e.Name, workload, classify).WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	return js.Bytes()
 }
 
 // inliningEnabled reports whether this test binary was built with inlining:

@@ -97,7 +97,7 @@ func TestBugOnlyManifestsWhenBucketsFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := apps.Detect(e, 500, 11, apps.RunConfig{Seed: 11}, hawkset.DefaultConfig())
+	small, err := apps.Detect(e, e.Workload(500, 11), apps.RunConfig{Seed: 11}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestBugOnlyManifestsWhenBucketsFill(t *testing.T) {
 			t.Skip("small workload happened to fill a bucket; statistical trigger")
 		}
 	}
-	big, err := apps.Detect(e, 20000, 11, apps.RunConfig{Seed: 11}, hawkset.DefaultConfig())
+	big, err := apps.Detect(e, e.Workload(20000, 11), apps.RunConfig{Seed: 11}, hawkset.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

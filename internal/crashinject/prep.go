@@ -67,10 +67,7 @@ type PrepOptions struct {
 
 // PrepareWith is Prepare with recording options.
 func PrepareWith(e *apps.Entry, opCount int, seed int64, fixed bool, opt PrepOptions) (*Prep, error) {
-	if e.MaxOps > 0 && opCount > e.MaxOps {
-		opCount = e.MaxOps
-	}
-	w := ycsb.Generate(e.Spec(opCount), seed)
+	w := e.Workload(opCount, seed)
 	poolSize := e.PoolSize
 	if poolSize == 0 {
 		poolSize = 32 << 20

@@ -88,7 +88,7 @@ func Table2(seed int64) ([]Table2Row, error) {
 		if !table2 {
 			continue
 		}
-		res, err := apps.Detect(e, Table2Ops[e.Name], seed, apps.RunConfig{Seed: seed}, analysisConfig())
+		res, err := apps.Detect(e, e.Workload(Table2Ops[e.Name], seed), apps.RunConfig{Seed: seed}, analysisConfig())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
 		}
@@ -204,11 +204,10 @@ func Table3(cfg Table3Config) (*Table3Result, error) {
 	for i, w := range seeds {
 		// HawkSet: one execution, one analysis.
 		start := time.Now()
-		rt, err := apps.Run(e, w, apps.RunConfig{Seed: cfg.Base + int64(i)})
+		res, err := apps.Detect(e, w, apps.RunConfig{Seed: cfg.Base + int64(i)}, analysisConfig())
 		if err != nil {
 			return nil, err
 		}
-		res := hawkset.Analyze(rt.Trace, analysisConfig())
 		hawkTime += time.Since(start)
 		for _, id := range apps.FoundBugs(e, res) {
 			switch id {
@@ -277,7 +276,7 @@ type Fig6Point struct {
 	App         string
 	Ops         int
 	TestingTime time.Duration
-	PeakMem     uint64 // bytes, heap high-water mark across run+analysis
+	PeakMem     uint64 // bytes of heap in use at the end of run+analysis
 	Events      int
 	Reports     int
 }
@@ -298,24 +297,19 @@ func Fig6(sizes []int, seed int64) ([]Fig6Point, error) {
 			runtime.ReadMemStats(&before)
 
 			start := time.Now()
-			w := ycsb.Generate(e.Spec(ops), seed)
-			rt, err := apps.Run(e, w, apps.RunConfig{Seed: seed})
+			res, err := apps.Detect(e, e.Workload(ops, seed), apps.RunConfig{Seed: seed}, analysisConfig())
 			if err != nil {
 				return nil, fmt.Errorf("%s/%d: %w", e.Name, ops, err)
 			}
-			var mid runtime.MemStats
-			runtime.ReadMemStats(&mid)
-			res := hawkset.Analyze(rt.Trace, analysisConfig())
 			elapsed := time.Since(start)
 
+			// One reading, after Detect and with the Result still live: no
+			// trace is retained, so what the run holds is analysis state.
 			var after runtime.MemStats
 			runtime.ReadMemStats(&after)
-			peak := mid.HeapAlloc
-			if after.HeapAlloc > peak {
-				peak = after.HeapAlloc
-			}
-			if peak > before.HeapAlloc {
-				peak -= before.HeapAlloc
+			var peak uint64
+			if after.HeapAlloc > before.HeapAlloc {
+				peak = after.HeapAlloc - before.HeapAlloc
 			}
 			pts = append(pts, Fig6Point{
 				App: e.Name, Ops: ops, TestingTime: elapsed,
@@ -371,14 +365,14 @@ type Table4Row struct {
 func Table4(seed int64) ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, e := range apps.All() {
-		ops := Table2Ops[e.Name]
-		on, err := apps.Detect(e, ops, seed, apps.RunConfig{Seed: seed}, analysisConfig())
+		w := e.Workload(Table2Ops[e.Name], seed)
+		on, err := apps.Detect(e, w, apps.RunConfig{Seed: seed}, analysisConfig())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
 		}
 		offCfg := analysisConfig()
 		offCfg.IRH = false
-		off, err := apps.Detect(e, ops, seed, apps.RunConfig{Seed: seed}, offCfg)
+		off, err := apps.Detect(e, w, apps.RunConfig{Seed: seed}, offCfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
 		}

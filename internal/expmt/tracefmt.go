@@ -3,12 +3,12 @@ package expmt
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
 	"hawkset/internal/apps"
 	"hawkset/internal/trace"
-	"hawkset/internal/ycsb"
 )
 
 // TraceFmtRow is one (application, format version) measurement: encoded
@@ -26,7 +26,8 @@ type TraceFmtRow struct {
 }
 
 // TraceFmt measures the trace codecs on real application traces: each app's
-// workload is executed once, then encoded and decoded in every format.
+// workload is executed once with its trace retained, then encoded and
+// decoded in every format.
 func TraceFmt(appNames []string, ops int, seed int64) ([]TraceFmtRow, error) {
 	formats := []struct {
 		name string
@@ -42,12 +43,7 @@ func TraceFmt(appNames []string, ops int, seed int64) ([]TraceFmtRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := ops
-		if e.MaxOps > 0 && n > e.MaxOps {
-			n = e.MaxOps
-		}
-		w := ycsb.Generate(e.Spec(n), seed)
-		rt, err := apps.Run(e, w, apps.RunConfig{Seed: seed})
+		rt, err := apps.Run(e, e.Workload(ops, seed), apps.RunConfig{Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -59,7 +55,7 @@ func TraceFmt(appNames []string, ops int, seed int64) ([]TraceFmtRow, error) {
 			}
 			encT := time.Since(encStart)
 			decStart := time.Now()
-			if _, err := trace.Decode(bytes.NewReader(buf.Bytes())); err != nil {
+			if err := drain(buf.Bytes()); err != nil {
 				return nil, fmt.Errorf("%s/%s decode: %w", name, f.name, err)
 			}
 			decT := time.Since(decStart)
@@ -75,6 +71,23 @@ func TraceFmt(appNames []string, ops int, seed int64) ([]TraceFmtRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// drain decodes every event of an encoded trace through the streaming
+// Decoder without retaining them, the way -trace-in, tracedump and the
+// daemon read traces.
+func drain(raw []byte) error {
+	dec, err := trace.NewDecoder(bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	for {
+		if _, err := dec.Next(); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
 }
 
 // FormatTraceFmt renders the codec comparison table.

@@ -38,8 +38,10 @@ type Stream struct {
 	sites    *sites.Table
 	finished bool
 	// replayStart is the wall-clock instant of the first Feed, recorded only
-	// when metrics are enabled; it times the streaming ①/② stage. The value
-	// never reaches the Result — it lands in the metrics snapshot only.
+	// when metrics are enabled; it times the streaming ①/② stage, which for
+	// a stream fed by a running execution includes that execution. The
+	// value never reaches the Result — it lands in the metrics snapshot
+	// only.
 	replayStart time.Time
 }
 

@@ -165,142 +165,26 @@ func appendEventV1(dst []byte, e Event) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode reads a binary trace in either format version, requiring the input
-// to end exactly after the last declared event.
+// Decode reads a binary trace in either format version into memory,
+// requiring the input to end exactly after the last declared event. It is
+// the retaining form of the streaming Decoder, for callers that need the
+// whole []Event; analysis should stream through NewDecoder instead.
 func Decode(r io.Reader) (*Trace, error) {
 	d, err := NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{Sites: d.Sites()}
-	switch d.version {
-	case version1:
-		acc := newEventAccum(d.declared)
-		for {
-			e, err := d.Next()
-			if err == io.EOF {
-				t.Events = acc.events()
-				return t, nil
-			}
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", acc.len(), err)
-			}
-			acc.add(e)
+	for {
+		e, err := d.Next()
+		if err == io.EOF {
+			return t, nil
 		}
-	default: // version2
-		// Slurp the stored block frames first: the headers reveal the exact
-		// event total before any payload is decoded, so each block decodes
-		// straight into its slice of a right-sized array — no per-event
-		// appends, no growth copies, no final concatenation. Holding the
-		// stored payloads costs at most the input size, a fraction of the
-		// decoded events they expand into.
-		type frameMeta struct {
-			nev, rawLen, off, n int
-			crc                 uint32
+		if err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", len(t.Events), err)
 		}
-		b := d.blocks
-		var metas []frameMeta
-		var slab []byte
-		for !b.done {
-			nev, rawLen, storedLen, crc, err := b.readFrameHeader()
-			if err != nil {
-				return nil, err
-			}
-			if b.done {
-				break
-			}
-			off := len(slab)
-			slab = append(slab, make([]byte, storedLen)...)
-			if _, err := io.ReadFull(d.br, slab[off:]); err != nil {
-				return nil, fmt.Errorf("trace: truncated block payload: %w", noEOF(err))
-			}
-			metas = append(metas, frameMeta{nev: nev, rawLen: rawLen, off: off, n: storedLen, crc: crc})
-		}
-		if err := d.requireEOF(); err != nil {
-			return nil, err
-		}
-		acc := newEventAccum(b.claimed)
-		for _, m := range metas {
-			raw, err := b.materialize(m.rawLen, slab[m.off:m.off+m.n], m.crc)
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", acc.len(), err)
-			}
-			if err := b.decodeBlock(raw, acc.reserve(m.nev)); err != nil {
-				return nil, fmt.Errorf("trace: event %d: %w", acc.len(), err)
-			}
-		}
-		t.Events = acc.events()
-		return t, nil
+		t.Events = append(t.Events, e)
 	}
-}
-
-// eventAccum accumulates a stream of events into geometrically growing
-// chunks, concatenating once at the end. Compared to a plain append loop it
-// bounds the copying at one extra pass over the data — append's repeated
-// growslice reallocations were ~45% of decode CPU on million-event traces —
-// while still never trusting a header-declared count for more than the
-// (capped) first-chunk preallocation.
-type eventAccum struct {
-	chunks [][]Event
-	cur    []Event
-	n      int // events in chunks (excluding cur)
-}
-
-func newEventAccum(hint uint64) *eventAccum {
-	if hint == 0 {
-		hint = 4096
-	}
-	if hint > maxEventPrealloc {
-		hint = maxEventPrealloc
-	}
-	return &eventAccum{cur: make([]Event, 0, hint)}
-}
-
-func (a *eventAccum) len() int { return a.n + len(a.cur) }
-
-// grow retires the current chunk and starts a new one with room for at
-// least min more events.
-func (a *eventAccum) grow(min int) {
-	a.n += len(a.cur)
-	a.chunks = append(a.chunks, a.cur)
-	next := a.n
-	if next > maxEventPrealloc {
-		next = maxEventPrealloc
-	}
-	if next < min {
-		next = min
-	}
-	a.cur = make([]Event, 0, next)
-}
-
-func (a *eventAccum) add(e Event) {
-	if len(a.cur) == cap(a.cur) {
-		a.grow(1)
-	}
-	a.cur = append(a.cur, e)
-}
-
-// reserve extends the accumulator by n events and returns the (contiguous,
-// uninitialized) slice for the caller to fill in place.
-func (a *eventAccum) reserve(n int) []Event {
-	if cap(a.cur)-len(a.cur) < n {
-		a.grow(n)
-	}
-	a.cur = a.cur[:len(a.cur)+n]
-	return a.cur[len(a.cur)-n:]
-}
-
-// events returns the accumulated slice, reusing the sole chunk when no
-// growth happened (the common case: a v1 trace within its declared count).
-func (a *eventAccum) events() []Event {
-	if len(a.chunks) == 0 {
-		return a.cur
-	}
-	out := make([]Event, 0, a.len())
-	for _, c := range a.chunks {
-		out = append(out, c...)
-	}
-	return append(out, a.cur...)
 }
 
 // Decoder streams a binary trace: the header and site table are read by
