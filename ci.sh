@@ -1,7 +1,11 @@
 #!/bin/sh
 # ci.sh — the checks a change must pass before merging.
 #
-#   go vet      static checks
+#   gofmt -l    every Go file is gofmt-formatted
+#   go vet      static checks, plus an arm64 vet of internal/pmrt and
+#               internal/sites so the portable (!amd64) call-site capture
+#               keeps compiling; on amd64, vet's asmdecl check covers
+#               pmrt's frame-pointer assembly
 #   go build    every package compiles
 #   go test     full unit + property + differential suite
 #   go test -race   the packages with concurrency: the root package and
@@ -15,6 +19,9 @@
 #   go test -gcflags=all=-l   the call-site capture gate with inlining off:
 #                   the per-app site-table/report goldens and the pmrt
 #                   site tests must hold in both compile modes
+#   GOARCH=386 go test   the same gate on an architecture without pmrt's
+#                   frame-pointer read, where every capture takes the
+#                   portable runtime.Callers path
 #   go test -bench  one iteration of every benchmark — a smoke test that
 #                   the benchmark harness still compiles and runs, not a
 #                   performance measurement — plus a targeted iteration of
@@ -45,11 +52,19 @@
 #               differential) green — pmopt exits 1 on any gate failure
 set -eux
 
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "ci: files need gofmt:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go vet ./...
+GOARCH=arm64 go vet ./internal/pmrt ./internal/sites
 go build ./...
 go test ./...
 go test -race . ./internal/hawkset ./internal/sched ./internal/pmcheckd ./internal/sites
 go test -gcflags=all=-l -run 'TestSiteTableGolden|TestSiteCapture|TestBacktraceMode' ./internal/apps ./internal/pmrt
+GOARCH=386 go test -run 'TestSiteTableGolden|TestSiteCapture|TestBacktraceMode' ./internal/apps ./internal/pmrt
 go test -run '^$' -bench . -benchtime 1x ./...
 go test -run '^$' -bench '^BenchmarkAnalysis$/.*/.*/(epoch|reference)$' -benchtime 1x .
 go run ./cmd/pmlint -baseline pmlint.baseline ./...

@@ -17,6 +17,8 @@
 //     table: ingest counters plus the analysis working-set gauges whose
 //     flat high-water marks demonstrate bounded memory per tenant.
 //
+// Run it with:
+//
 //	go run ./examples/pmcheckd
 package main
 

@@ -204,9 +204,9 @@ func (p PointResult) Failed() bool { return p.Inconsistent != nil }
 // reported explicitly: a budget- or deadline-bounded campaign degrades
 // gracefully, never silently.
 type Campaign struct {
-	Target    string `json:"target"`
-	Fixed     bool   `json:"fixed"`
-	Strategy  string `json:"strategy"`
+	Target   string `json:"target"`
+	Fixed    bool   `json:"fixed"`
+	Strategy string `json:"strategy"`
 	// Enumerated is the number of crash points the strategy produced.
 	Enumerated int `json:"enumerated"`
 	Tested     int `json:"tested"`

@@ -121,6 +121,11 @@ type Runtime struct {
 	mJournalBytes *obs.Counter
 	mElided       *obs.Counter
 
+	// siteCache maps a Ctx method's raw return PC to its interned site, or
+	// to alwaysSlow (see Ctx.site). The cooperative scheduler serializes
+	// every Ctx method, so no lock.
+	siteCache map[uintptr]sites.ID
+
 	// elideCache memoizes per-site elision decisions (the cooperative
 	// scheduler serializes all instrumented operations, so no lock).
 	elideCache map[sites.ID]bool
@@ -152,6 +157,7 @@ func New(cfg Config) *Runtime {
 		mJournalOps:   cfg.Metrics.Counter("pmrt.journal.ops"),
 		mJournalBytes: cfg.Metrics.Counter("pmrt.journal.bytes"),
 		mElided:       cfg.Metrics.Counter("pmrt.elided"),
+		siteCache:     make(map[uintptr]sites.ID),
 	}
 	if len(cfg.ElideSites) > 0 {
 		r.elideCache = make(map[sites.ID]bool)
@@ -192,9 +198,9 @@ func (r *Runtime) Run(main func(c *Ctx)) error {
 type Ctx struct {
 	r  *Runtime
 	th *sched.Thread
-	// pcs receives the return PCs each site-recording method captures (see
-	// site). A Ctx belongs to one simulated thread and the capture is
-	// consumed before the method yields, so it needs no lock.
+	// pcs receives the return PCs of site's runtime.Callers path. A Ctx
+	// belongs to one simulated thread and the capture is consumed before
+	// the method yields, so it needs no lock.
 	pcs []uintptr
 }
 
@@ -214,26 +220,50 @@ func (c *Ctx) TID() int32 { return c.th.ID() }
 func (c *Ctx) Runtime() *Runtime { return c.r }
 
 // site interns the application call site of an instrumented operation.
-// Every exported Ctx method that records a site opens with
+// Every exported Ctx method that records a site is //go:noinline and opens
+// with
 //
-//	site := c.site(runtime.Callers(2, c.pcs))
+//	site := c.site(callerPC())
 //
-// runtime.Callers runs in the method's own frame, so skip 2 names the
-// method's caller (0 is runtime.Callers, 1 the method) and the unwind starts
-// there; n is its return value. Skip counts logical frames, so it holds
-// whether or not the compiler inlines the method. Never capture from a
-// helper between the method and its caller: that shifts the skip and moves
-// the method's sites. Under Config.Backtraces, c.pcs holds four frames and
-// the site is the call chain from the caller; otherwise it holds one.
-func (c *Ctx) site(n int) sites.ID {
+// callerPC reads the method's own return PC with one frame-pointer load, so
+// it must be called directly from the method and the method must never be
+// inlined: inlined, the load would name the caller's caller. raw is that PC,
+// the same value runtime.Callers(2, ...) records in the method, and a
+// repeated raw PC costs one map hit in Runtime.siteCache.
+//
+// A miss takes runtime.Callers from the method's caller (skip 3: Callers,
+// site, the method; skip counts logical frames, so it holds whether or not
+// site is inlined) and caches the result under raw only when Callers agrees
+// that raw is the caller's frame. Where it does not, raw lies in a wrapper
+// Callers elides but the frame pointer does not, such as the deferwrap
+// closure of `defer c.Unlock(m)`, whose site depends on which return ran
+// it; such a PC is marked alwaysSlow and takes Callers every time. raw 0
+// (no frame-pointer read on this architecture) is marked the same way.
+// Under Config.Backtraces the cache is never filled: c.pcs holds four
+// frames and the site is the call chain from the caller.
+func (c *Ctx) site(raw uintptr) sites.ID {
+	if id, ok := c.r.siteCache[raw]; ok && id != alwaysSlow {
+		return id
+	}
+	n := runtime.Callers(3, c.pcs)
 	if n == 0 {
 		return 0
 	}
 	if c.r.cfg.Backtraces {
 		return c.r.Trace.Sites.AtStack(c.pcs[:n])
 	}
-	return c.r.Trace.Sites.At(c.pcs[0])
+	id := c.r.Trace.Sites.At(c.pcs[0])
+	if c.pcs[0] == raw {
+		c.r.siteCache[raw] = id
+	} else {
+		c.r.siteCache[raw] = alwaysSlow
+	}
+	return id
 }
+
+// alwaysSlow marks a siteCache entry whose raw PC must take runtime.Callers
+// on every capture (see Ctx.site).
+const alwaysSlow sites.ID = -1
 
 func (c *Ctx) pre(k trace.Kind, addr uint64, size uint32) {
 	c.th.Yield()
@@ -299,8 +329,10 @@ func (r *Runtime) elided(site sites.ID) bool {
 
 // Store writes data to PM at addr (a cached, temporal store: visible
 // immediately, persistent only after flush+fence).
+//
+//go:noinline
 func (c *Ctx) Store(addr uint64, data []byte) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.storeAt(site, addr, data)
 }
 
@@ -312,29 +344,37 @@ func (c *Ctx) storeAt(site sites.ID, addr uint64, data []byte) {
 }
 
 // Store8 writes a uint64 (little-endian).
+//
+//go:noinline
 func (c *Ctx) Store8(addr uint64, v uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	c.storeAt(c.site(runtime.Callers(2, c.pcs)), addr, b[:])
+	c.storeAt(c.site(callerPC()), addr, b[:])
 }
 
 // Store4 writes a uint32.
+//
+//go:noinline
 func (c *Ctx) Store4(addr uint64, v uint32) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	c.storeAt(c.site(runtime.Callers(2, c.pcs)), addr, b[:])
+	c.storeAt(c.site(callerPC()), addr, b[:])
 }
 
 // Store1 writes a byte.
+//
+//go:noinline
 func (c *Ctx) Store1(addr uint64, v byte) {
-	c.storeAt(c.site(runtime.Callers(2, c.pcs)), addr, []byte{v})
+	c.storeAt(c.site(callerPC()), addr, []byte{v})
 }
 
 // NTStore8 writes a uint64 with a non-temporal store: it bypasses the cache
 // (no flush needed) but still requires a Fence for the persistence
 // guarantee.
+//
+//go:noinline
 func (c *Ctx) NTStore8(addr uint64, v uint64) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	c.pre(trace.KNTStore, addr, 8)
@@ -343,14 +383,21 @@ func (c *Ctx) NTStore8(addr uint64, v uint64) {
 	c.journal(pmem.OpNTStore, addr, 8, b[:], c.lastSeq(), site)
 }
 
-// Load reads size bytes from PM at addr.
+// Load reads size bytes from PM at addr into a fresh slice.
+//
+//go:noinline
 func (c *Ctx) Load(addr uint64, size uint32) []byte {
-	return c.loadAt(c.site(runtime.Callers(2, c.pcs)), addr, size)
+	site := c.site(callerPC())
+	buf := make([]byte, size)
+	c.loadInto(site, addr, buf)
+	return buf
 }
 
-func (c *Ctx) loadAt(site sites.ID, addr uint64, size uint32) []byte {
+// loadInto reads len(buf) bytes from PM at addr into buf. Load8, Load4 and
+// Load1 pass a stack array, so the fixed-size loads allocate nothing.
+func (c *Ctx) loadInto(site sites.ID, addr uint64, buf []byte) {
+	size := uint32(len(buf))
 	c.pre(trace.KLoad, addr, size)
-	buf := make([]byte, size)
 	c.r.Pool.Load(addr, buf)
 	c.emit(trace.Event{Kind: trace.KLoad, TID: c.th.ID(), Addr: addr, Size: size, Site: site})
 	if c.r.OnDirtyRead != nil {
@@ -358,27 +405,40 @@ func (c *Ctx) loadAt(site sites.ID, addr uint64, size uint32) []byte {
 			c.r.OnDirtyRead(c, site, addr, size, writer, sites.ID(storeSite))
 		}
 	}
-	return buf
 }
 
 // Load8 reads a uint64.
+//
+//go:noinline
 func (c *Ctx) Load8(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(c.loadAt(c.site(runtime.Callers(2, c.pcs)), addr, 8))
+	var b [8]byte
+	c.loadInto(c.site(callerPC()), addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Load4 reads a uint32.
+//
+//go:noinline
 func (c *Ctx) Load4(addr uint64) uint32 {
-	return binary.LittleEndian.Uint32(c.loadAt(c.site(runtime.Callers(2, c.pcs)), addr, 4))
+	var b [4]byte
+	c.loadInto(c.site(callerPC()), addr, b[:])
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // Load1 reads a byte.
+//
+//go:noinline
 func (c *Ctx) Load1(addr uint64) byte {
-	return c.loadAt(c.site(runtime.Callers(2, c.pcs)), addr, 1)[0]
+	var b [1]byte
+	c.loadInto(c.site(callerPC()), addr, b[:])
+	return b[0]
 }
 
 // Flush issues a CLWB for the cache line containing addr.
+//
+//go:noinline
 func (c *Ctx) Flush(addr uint64) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.pre(trace.KFlush, addr, 0)
 	if c.r.elided(site) {
 		c.r.mElided.Inc()
@@ -390,8 +450,10 @@ func (c *Ctx) Flush(addr uint64) {
 }
 
 // Fence issues an SFENCE, completing this thread's pending flushes.
+//
+//go:noinline
 func (c *Ctx) Fence() {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.pre(trace.KFence, 0, 0)
 	if c.r.elided(site) {
 		c.r.mElided.Inc()
@@ -404,8 +466,10 @@ func (c *Ctx) Fence() {
 
 // Persist flushes every line of [addr, addr+size) and fences: the idiomatic
 // flush-and-fence sequence PM libraries expose (e.g. pmem_persist).
+//
+//go:noinline
 func (c *Ctx) Persist(addr uint64, size uint64) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	el := c.r.elided(site)
 	if size > 0 {
 		// Subtraction-form bound: addr+size-1 wraps for ranges ending at
@@ -437,8 +501,10 @@ func (c *Ctx) Persist(addr uint64, size uint64) {
 // lock-free primitive: the trace records the load (and the store on
 // success) with no lock held, exactly how HawkSet sees an uninstrumented
 // CAS. Atomicity is native under the cooperative scheduler.
+//
+//go:noinline
 func (c *Ctx) CAS8(addr uint64, old, new uint64) bool {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.pre(trace.KLoad, addr, 8)
 	cur := c.r.Pool.Load8(addr)
 	c.emit(trace.Event{Kind: trace.KLoad, TID: c.th.ID(), Addr: addr, Size: 8, Site: site})
@@ -456,10 +522,12 @@ func (c *Ctx) CAS8(addr uint64, old, new uint64) bool {
 // Alloc allocates size bytes from the PM heap. By default allocation is not
 // an instrumented event (HawkSet deliberately does not instrument PM
 // allocators, §7); Config.InstrumentAllocs opts into recording it.
+//
+//go:noinline
 func (c *Ctx) Alloc(size uint64) uint64 {
 	addr := c.r.Heap.Alloc(size)
 	if c.r.cfg.InstrumentAllocs {
-		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.site(runtime.Callers(2, c.pcs))})
+		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.site(callerPC())})
 	}
 	return addr
 }
@@ -469,9 +537,11 @@ func (c *Ctx) Alloc(size uint64) uint64 {
 // analogue of wrapping the application's PM allocation primitives the way
 // §5.5 wraps its synchronization primitives. No-op unless
 // Config.InstrumentAllocs is set.
+//
+//go:noinline
 func (c *Ctx) RecordAlloc(addr, size uint64) {
 	if c.r.cfg.InstrumentAllocs {
-		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.site(runtime.Callers(2, c.pcs))})
+		c.emit(trace.Event{Kind: trace.KAlloc, TID: c.th.ID(), Addr: addr, Size: uint32(size), Site: c.site(callerPC())})
 	}
 }
 
@@ -515,8 +585,10 @@ type Thread struct {
 
 // Spawn starts fn on a new simulated thread, recording the thread-create
 // event that drives the inter-thread happens-before analysis.
+//
+//go:noinline
 func (c *Ctx) Spawn(fn func(c *Ctx)) *Thread {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	nt := c.th.Spawn(func(t *sched.Thread) {
 		fn(c.r.newCtx(t))
 	})
@@ -525,8 +597,10 @@ func (c *Ctx) Spawn(fn func(c *Ctx)) *Thread {
 }
 
 // Join waits for th to finish, recording the thread-join event.
+//
+//go:noinline
 func (c *Ctx) Join(th *Thread) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.th.Join(th.t)
 	c.emit(trace.Event{Kind: trace.KThreadJoin, TID: c.th.ID(), Kid: th.t.ID(), Site: site})
 }

@@ -2,7 +2,6 @@ package pmrt
 
 import (
 	"fmt"
-	"runtime"
 
 	"hawkset/internal/trace"
 )
@@ -28,8 +27,10 @@ func (r *Runtime) NewMutex(name string) *Mutex {
 func (m *Mutex) ID() uint64 { return m.id }
 
 // Lock acquires the mutex, blocking the simulated thread if it is held.
+//
+//go:noinline
 func (c *Ctx) Lock(m *Mutex) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.pre(trace.KLockAcq, 0, 0)
 	for m.owner != nil {
 		if m.owner.th == c.th {
@@ -45,8 +46,10 @@ func (c *Ctx) Lock(m *Mutex) {
 // TryLock attempts to acquire the mutex without blocking; it reports whether
 // it succeeded. Only successful acquisitions appear in the trace, matching
 // the paper's handling of pthread_mutex_trylock-style tentative acquires.
+//
+//go:noinline
 func (c *Ctx) TryLock(m *Mutex) bool {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.pre(trace.KLockAcq, 0, 0)
 	if m.owner != nil {
 		return false
@@ -57,8 +60,10 @@ func (c *Ctx) TryLock(m *Mutex) bool {
 }
 
 // Unlock releases the mutex and wakes one waiter.
+//
+//go:noinline
 func (c *Ctx) Unlock(m *Mutex) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	if m.owner == nil || m.owner.th != c.th {
 		panic(fmt.Sprintf("pmrt: T%d unlock of mutex %q it does not hold", c.TID(), m.name))
 	}
@@ -94,8 +99,10 @@ func (r *Runtime) NewRWMutex(name string) *RWMutex {
 func (m *RWMutex) ID() uint64 { return m.id }
 
 // RLock acquires the lock in shared mode.
+//
+//go:noinline
 func (c *Ctx) RLock(m *RWMutex) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.pre(trace.KLockAcq, 0, 0)
 	for m.writer != nil {
 		m.waiters = append(m.waiters, c)
@@ -106,8 +113,10 @@ func (c *Ctx) RLock(m *RWMutex) {
 }
 
 // RUnlock releases a shared hold.
+//
+//go:noinline
 func (c *Ctx) RUnlock(m *RWMutex) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	if m.readers <= 0 {
 		panic(fmt.Sprintf("pmrt: T%d RUnlock of rwmutex %q with no readers", c.TID(), m.name))
 	}
@@ -119,8 +128,10 @@ func (c *Ctx) RUnlock(m *RWMutex) {
 }
 
 // WLock acquires the lock exclusively.
+//
+//go:noinline
 func (c *Ctx) WLock(m *RWMutex) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	c.pre(trace.KLockAcq, 0, 0)
 	for m.writer != nil || m.readers > 0 {
 		if m.writer != nil && m.writer.th == c.th {
@@ -134,8 +145,10 @@ func (c *Ctx) WLock(m *RWMutex) {
 }
 
 // WUnlock releases an exclusive hold.
+//
+//go:noinline
 func (c *Ctx) WUnlock(m *RWMutex) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	if m.writer == nil || m.writer.th != c.th {
 		panic(fmt.Sprintf("pmrt: T%d WUnlock of rwmutex %q it does not hold", c.TID(), m.name))
 	}
@@ -183,8 +196,10 @@ func (l *SpinLock) Addr() uint64 { return l.addr }
 func (l *SpinLock) ID() uint64 { return l.id }
 
 // SpinLock acquires l via CAS on its PM word.
+//
+//go:noinline
 func (c *Ctx) SpinLock(l *SpinLock) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	for {
 		if c.CAS8(l.addr, 0, uint64(c.TID())+1) {
 			break
@@ -197,8 +212,10 @@ func (c *Ctx) SpinLock(l *SpinLock) {
 }
 
 // SpinUnlock releases l by storing zero to its PM word.
+//
+//go:noinline
 func (c *Ctx) SpinUnlock(l *SpinLock) {
-	site := c.site(runtime.Callers(2, c.pcs))
+	site := c.site(callerPC())
 	if l.holder == nil || l.holder.th != c.th {
 		panic(fmt.Sprintf("pmrt: T%d unlock of spinlock %q it does not hold", c.TID(), l.name))
 	}

@@ -77,6 +77,10 @@ const (
 	// maxEventPrealloc caps the event-slice preallocation; larger traces
 	// grow by append, paying only for events actually present.
 	maxEventPrealloc = 1 << 20
+	// minEventBytes is the smallest encoding decodeEvent accepts: a fence's
+	// kind byte plus one-byte TID and site uvarints. A count of n events
+	// needs at least n*minEventBytes bytes of input.
+	minEventBytes = 3
 	// maxString bounds a single decoded string (file or function name).
 	maxString = 1 << 20
 )

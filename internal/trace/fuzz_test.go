@@ -32,7 +32,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("NOPE...."))
 	for _, raw := range seeds {
 		f.Add(raw)
-		f.Add(raw[:len(raw)/2]) // truncated mid-stream
+		f.Add(raw[:len(raw)/2])                          // truncated mid-stream
 		f.Add(append(append([]byte(nil), raw...), 0x42)) // trailing garbage
 		// Bit-flipped variants: corruption that keeps the magic intact and
 		// lands inside the version/flags bytes, counts, block headers, tag

@@ -211,8 +211,8 @@ func decodeSegmentV1(data []byte, baseSites int) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: event count: %w", err)
 	}
-	if nevents > maxSegmentEvents {
-		return nil, fmt.Errorf("segment: implausible event count %d", nevents)
+	if nevents > maxSegmentEvents || nevents > uint64(len(data))/minEventBytes {
+		return nil, fmt.Errorf("segment: implausible event count %d for %d bytes", nevents, len(data))
 	}
 	prealloc := nevents
 	if prealloc > maxEventPrealloc {

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"hawkset/internal/sites"
@@ -94,6 +96,22 @@ func TestSegmentRejects(t *testing.T) {
 		bomb := []byte{1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}
 		if _, err := DecodeSegment(bomb, 1); err == nil {
 			t.Fatal("event-count bomb accepted")
+		}
+	})
+	t.Run("event-count-prealloc", func(t *testing.T) {
+		// seq=1, nsites=0, nevents=2^21: under maxSegmentEvents, but six
+		// bytes cannot hold it. The count must be rejected before it sizes
+		// the event slice (2^20 events, 40 MiB).
+		short := []byte{1, 0, 0x80, 0x80, 0x80, 0x01}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeSegment(short, 1)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "implausible event count") {
+			t.Fatalf("err = %v, want an implausible event count", err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Fatalf("decoding a 6-byte segment allocated %d bytes", alloc)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package ycsb
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -333,5 +334,20 @@ func TestScrambledSpreads(t *testing.T) {
 	}
 	if low > 400 { // uniform expectation ≈ 2000/64 ≈ 31; allow heavy-hitter noise
 		t.Fatalf("%d/2000 scrambled keys in the lowest 1/64 of the space — scrambling broken", low)
+	}
+}
+
+// TestZetaMemoBitIdentical: the memoized zeta sum is the same float64, bit
+// for bit, as the sum computed afresh, on the first call and on a cache hit.
+func TestZetaMemoBitIdentical(t *testing.T) {
+	const n, theta = 4099, 0.99
+	fresh := 0.0
+	for i := uint64(1); i <= n; i++ {
+		fresh += 1.0 / math.Pow(float64(i), theta)
+	}
+	for call := 0; call < 2; call++ {
+		if got := zetaStatic(n, theta); math.Float64bits(got) != math.Float64bits(fresh) {
+			t.Fatalf("call %d: zetaStatic = %v, want %v", call, got, fresh)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package ycsb
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Zipfian is YCSB's zipfian generator (Gray et al., "Quickly generating
 // billion-record synthetic databases", SIGMOD'94 — the exact algorithm in
@@ -33,15 +36,31 @@ func NewZipfian(n uint64, theta float64, randFn func() float64) *Zipfian {
 }
 
 // zetaStatic computes the generalized harmonic number sum_{i=1..n} 1/i^theta.
-// YCSB caches these for common n; the corpus sizes here are small enough to
-// compute directly (once per generator).
+// YCSB caches these for common n; here every (n, theta) is summed once per
+// process and memoized, so a process that generates many workloads (the
+// experiment loops, the benchmark's set-up) pays the n math.Pow calls once.
+// The sum is a pure function of its arguments, so a memoized value is
+// bit-identical to a recomputed one and workloads do not change.
 func zetaStatic(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	if v, ok := zetaMemo.Load(k); ok {
+		return v.(float64)
+	}
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1.0 / math.Pow(float64(i), theta)
 	}
+	zetaMemo.Store(k, sum)
 	return sum
 }
+
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+// zetaMemo maps a zetaKey to its float64 zetaStatic sum.
+var zetaMemo sync.Map
 
 // Next draws the next zipfian rank in [0, n): rank 0 is the most popular.
 func (z *Zipfian) Next() uint64 {
