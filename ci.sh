@@ -8,9 +8,10 @@
 #               pmrt's frame-pointer assembly
 #   go build    every package compiles
 #   go test     full unit + property + differential suite
-#   go test -race   the packages with concurrency: the root package and
-#                   internal/hawkset, whose tests run instrumented programs
-#                   on pmrt's goroutine-per-thread runtime, the
+#   go test -race   the packages with concurrency: the root package,
+#                   internal/hawkset and internal/pmrt, whose tests run
+#                   instrumented programs on simulated threads that hand
+#                   the CPU over through coroutine switches, the
 #                   cooperative scheduler (internal/sched), the
 #                   ingestion daemon (internal/pmcheckd: concurrent
 #                   tenants, fault-injected reconnects, drain/recovery),
@@ -62,7 +63,7 @@ go vet ./...
 GOARCH=arm64 go vet ./internal/pmrt ./internal/sites
 go build ./...
 go test ./...
-go test -race . ./internal/hawkset ./internal/sched ./internal/pmcheckd ./internal/sites
+go test -race . ./internal/hawkset ./internal/pmrt ./internal/sched ./internal/pmcheckd ./internal/sites
 go test -gcflags=all=-l -run 'TestSiteTableGolden|TestSiteCapture|TestBacktraceMode' ./internal/apps ./internal/pmrt
 GOARCH=386 go test -run 'TestSiteTableGolden|TestSiteCapture|TestBacktraceMode' ./internal/apps ./internal/pmrt
 go test -run '^$' -bench . -benchtime 1x ./...

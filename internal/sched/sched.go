@@ -9,14 +9,24 @@
 // PMRace-style baseline (internal/baseline/pmrace) the schedule control it
 // needs for delay injection.
 //
-// Simulated threads are goroutines parked on per-thread channels; the
-// channel handoff establishes happens-before, so scheduler state needs no
-// locking: it is only ever touched by the single running thread.
+// Each simulated thread is an iter.Pull coroutine. Run's goroutine loops
+// resuming the current thread; a yielding thread picks its successor, makes
+// it current and suspends back to that loop. Coroutine switches are
+// synchronous handoffs that establish happens-before, and only one side runs
+// at a time, so scheduler state needs no locking. When the pick is the
+// yielding thread itself, Yield returns without any switch.
+//
+// Aborts: the first deadlock or step-bound error ends the run and Run
+// returns it. Unfinished threads, the aborting one included, stay suspended
+// until process exit: stopping a coroutine would resume it, so none is ever
+// stopped, and no simulated-thread code runs after an abort, not even a
+// deferred call. An application panic in a thread ends the run (ErrAppPanic).
 package sched
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 )
@@ -45,12 +55,14 @@ const (
 )
 
 // Thread is a simulated thread. All methods must be called from the thread's
-// own goroutine while it is the running thread.
+// own coroutine while it is the running thread.
 type Thread struct {
-	id     int32
-	s      *Scheduler
-	state  State
-	resume chan struct{}
+	id    int32
+	s     *Scheduler
+	state State
+	// resume runs the thread's coroutine until it suspends (yield) or ends.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 	why    string // block reason, for deadlock diagnostics
 	// joiners are threads blocked in Join on this thread.
 	joiners []*Thread
@@ -65,10 +77,11 @@ type Scheduler struct {
 	rng      *rand.Rand
 	threads  []*Thread
 	runnable []*Thread
+	// current is the running thread; nil once the run is over.
 	current  *Thread
 	steps    uint64
 	maxSteps uint64
-	done     chan error
+	err      error
 	// pct, when non-nil, switches thread selection to the PCT policy.
 	pct *pctState
 }
@@ -90,79 +103,64 @@ func (s *Scheduler) Current() *Thread { return s.current }
 // ones).
 func (s *Scheduler) NumThreads() int { return len(s.threads) }
 
-// schedStop is panicked through a thread's goroutine to unwind it when the
-// scheduler must abort (deadlock or step bound). Non-nil err carries the
-// abort cause; the goroutines of other, still-parked threads are left parked
-// and collected when the process (or test binary) exits — acceptable for a
-// simulator whose runs are short-lived.
-type schedStop struct{ err error }
-
 // Run executes main as thread 0 and returns once every spawned thread has
 // finished. It returns an error if the program deadlocks (all live threads
 // blocked) or exceeds the step bound. Run may only be called once per
 // Scheduler.
 func (s *Scheduler) Run(main func(t *Thread)) error {
-	if s.done != nil {
+	if s.threads != nil {
 		return fmt.Errorf("sched: Run called twice")
 	}
-	s.done = make(chan error, 1)
-	root := &Thread{id: 0, s: s, state: Running, resume: make(chan struct{}, 1)}
-	s.threads = []*Thread{root}
-	s.current = root
-	go root.run(main)
-	return <-s.done
+	s.current = s.newThread(main)
+	s.current.state = Running
+	for s.current != nil {
+		s.current.resume()
+	}
+	return s.err
 }
 
-// run is the goroutine body shared by the root thread and spawned threads.
+// newThread registers a thread whose coroutine runs fn on first resume.
+func (s *Scheduler) newThread(fn func(t *Thread)) *Thread {
+	t := &Thread{id: int32(len(s.threads)), s: s}
+	t.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		t.run(fn)
+	})
+	s.threads = append(s.threads, t)
+	return t
+}
+
+// run is the coroutine body shared by the root thread and spawned threads.
 func (t *Thread) run(fn func(t *Thread)) {
 	defer func() {
 		if r := recover(); r != nil {
-			ss, ok := r.(schedStop)
-			if !ok {
-				// Application panic: surface it as the run result rather than
-				// crashing the host test binary asynchronously.
-				t.s.finish(fmt.Errorf("sched: thread %d %w: %v", t.id, ErrAppPanic, r))
-				return
-			}
-			if ss.err != nil {
-				t.s.finish(ss.err)
-			}
-			return
+			t.s.finish(fmt.Errorf("sched: thread %d %w: %v", t.id, ErrAppPanic, r))
 		}
-		t.exit()
 	}()
 	fn(t)
+	t.exit()
 }
 
+// finish ends the run with err; the Run loop returns it.
 func (s *Scheduler) finish(err error) {
-	select {
-	case s.done <- err:
-	default:
-	}
+	s.err = err
+	s.current = nil
 }
 
 // Spawn creates a new runnable thread executing fn. Must be called from the
 // running thread.
 func (t *Thread) Spawn(fn func(t *Thread)) *Thread {
-	s := t.s
-	nt := &Thread{id: int32(len(s.threads)), s: s, state: Runnable, resume: make(chan struct{}, 1)}
-	s.threads = append(s.threads, nt)
-	s.runnable = append(s.runnable, nt)
-	go func() {
-		<-nt.resume
-		nt.run(fn)
-	}()
+	nt := t.s.newThread(fn)
+	t.s.runnable = append(t.s.runnable, nt)
 	return nt
 }
 
 // Yield gives up the virtual CPU; the scheduler picks the next thread to run
 // (possibly this one again) using the seeded RNG.
 func (t *Thread) Yield() {
-	s := t.s
 	t.state = Runnable
-	s.runnable = append(s.runnable, t)
-	s.dispatch()
-	t.await()
+	t.s.runnable = append(t.s.runnable, t)
+	t.switchAway()
 }
 
 // Park blocks the thread with a diagnostic reason until another thread calls
@@ -170,8 +168,7 @@ func (t *Thread) Yield() {
 func (t *Thread) Park(why string) {
 	t.state = Blocked
 	t.why = why
-	t.s.dispatch()
-	t.await()
+	t.switchAway()
 }
 
 // Unpark makes target runnable again. Must be called from the running
@@ -197,8 +194,8 @@ func (t *Thread) Join(target *Thread) {
 // Done reports whether the thread has finished.
 func (t *Thread) Done() bool { return t.state == Done }
 
-// exit marks the running thread finished, wakes joiners, and hands the CPU
-// to the next runnable thread; if none remain the whole run completes.
+// exit marks the running thread finished, wakes joiners, and dispatches the
+// next thread, which the Run loop resumes once this coroutine returns.
 func (t *Thread) exit() {
 	t.state = Done
 	for _, j := range t.joiners {
@@ -219,22 +216,25 @@ func (t *Thread) exit() {
 	s.dispatch()
 }
 
-// await parks the calling goroutine until the scheduler resumes it.
-func (t *Thread) await() {
-	<-t.resume
+// switchAway dispatches and suspends the caller until it is current again
+// (for good if the run ended); if the pick is the caller, no switch happens.
+func (t *Thread) switchAway() {
+	t.s.dispatch()
+	if t.s.current != t {
+		t.yield(struct{}{})
+	}
 }
 
-// dispatch picks the next runnable thread and resumes it. Called by the
-// running thread just before it parks itself or exits; the caller must have
-// already moved itself to the appropriate state.
+// dispatch makes the next runnable thread current, or ends the run if none
+// can be picked. The caller is still current, as pickPCT requires.
 func (s *Scheduler) dispatch() {
 	next, err := s.pick()
 	if err != nil {
-		panic(schedStop{err: err})
+		s.finish(err)
+		return
 	}
 	s.current = next
 	next.state = Running
-	next.resume <- struct{}{}
 }
 
 func (s *Scheduler) pick() (*Thread, error) {
@@ -267,5 +267,5 @@ func (s *Scheduler) blockedThreads() []string {
 }
 
 // Blocked reports whether the thread is currently parked. Safe to read from
-// the running thread (the cooperative handoff orders all state access).
+// the running thread (the coroutine handoff orders all state access).
 func (t *Thread) Blocked() bool { return t.state == Blocked }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -59,28 +60,36 @@ func TestManyThreadsAllRun(t *testing.T) {
 	}
 }
 
+// runFourByFive runs 4 threads of 5 logged yields each on s and returns the
+// interleaving ("thread.iteration" entries) and the final step count.
+func runFourByFive(t *testing.T, s *Scheduler) (string, uint64) {
+	t.Helper()
+	var log []string
+	err := s.Run(func(th *Thread) {
+		var kids []*Thread
+		for i := 0; i < 4; i++ {
+			i := i
+			kids = append(kids, th.Spawn(func(c *Thread) {
+				for j := 0; j < 5; j++ {
+					log = append(log, fmt.Sprintf("%d.%d", i, j))
+					c.Yield()
+				}
+			}))
+		}
+		for _, k := range kids {
+			th.Join(k)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(log, " "), s.Steps()
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) string {
-		var log []string
-		err := New(seed, 0).Run(func(th *Thread) {
-			var kids []*Thread
-			for i := 0; i < 4; i++ {
-				i := i
-				kids = append(kids, th.Spawn(func(c *Thread) {
-					for j := 0; j < 5; j++ {
-						log = append(log, fmt.Sprintf("%d.%d", i, j))
-						c.Yield()
-					}
-				}))
-			}
-			for _, k := range kids {
-				th.Join(k)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Join(log, " ")
+		log, _ := runFourByFive(t, New(seed, 0))
+		return log
 	}
 	a, b := run(42), run(42)
 	if a != b {
@@ -156,7 +165,7 @@ func TestDeadlockDetected(t *testing.T) {
 		})
 		th.Join(child)
 	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
 }
@@ -167,7 +176,7 @@ func TestStepBound(t *testing.T) {
 			th.Yield()
 		}
 	})
-	if err == nil || !strings.Contains(err.Error(), "step bound") {
+	if !errors.Is(err, ErrStepBound) || !strings.Contains(err.Error(), "step bound") {
 		t.Fatalf("err = %v, want step bound", err)
 	}
 }
@@ -179,8 +188,67 @@ func TestThreadPanicSurfaces(t *testing.T) {
 		})
 		th.Join(child)
 	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
+	if !errors.Is(err, ErrAppPanic) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want panic surfaced", err)
+	}
+}
+
+// TestPanicThroughYieldingDefer: a thread that panics while a deferred call
+// yields (the `defer c.Unlock(m)` shape of the instrumented runtime) still
+// surfaces ErrAppPanic, whichever thread the deferred yield hands over to.
+func TestPanicThroughYieldingDefer(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		err := New(seed, 0).Run(func(th *Thread) {
+			var kids []*Thread
+			for i := 0; i < 3; i++ {
+				i := i
+				kids = append(kids, th.Spawn(func(c *Thread) {
+					defer c.Yield()
+					c.Yield()
+					if i == 1 {
+						panic("boom")
+					}
+				}))
+			}
+			for _, k := range kids {
+				th.Join(k)
+			}
+		})
+		if !errors.Is(err, ErrAppPanic) || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("seed %d: err = %v, want ErrAppPanic", seed, err)
+		}
+	}
+}
+
+// TestNoCodeRunsAfterAbort: after a step-bound or deadlock abort, no
+// simulated-thread code runs, not even the aborting thread's defers.
+func TestNoCodeRunsAfterAbort(t *testing.T) {
+	ran := false
+	err := New(1, 100).Run(func(th *Thread) {
+		defer func() { ran = true }()
+		th.Spawn(func(c *Thread) {
+			defer func() { ran = true }()
+			for {
+				c.Yield()
+			}
+		})
+		for {
+			th.Yield()
+		}
+	})
+	if !errors.Is(err, ErrStepBound) || ran {
+		t.Fatalf("step bound: err = %v, defers ran = %v", err, ran)
+	}
+	err = New(1, 0).Run(func(th *Thread) {
+		defer func() { ran = true }()
+		child := th.Spawn(func(c *Thread) {
+			defer func() { ran = true }()
+			c.Park("forever")
+		})
+		th.Join(child)
+	})
+	if !errors.Is(err, ErrDeadlock) || ran {
+		t.Fatalf("deadlock: err = %v, defers ran = %v", err, ran)
 	}
 }
 
@@ -336,4 +404,57 @@ func TestPCTDeterministic(t *testing.T) {
 	if run() != run() {
 		t.Fatal("PCT schedule not deterministic")
 	}
+}
+
+// TestScheduleGolden pins exact schedules — interleaving and step count —
+// so a change to the handoff mechanism cannot shift the RNG draw sequence.
+func TestScheduleGolden(t *testing.T) {
+	cases := []struct {
+		name  string
+		s     *Scheduler
+		want  string
+		steps uint64
+	}{
+		{"seed42", New(42, 0),
+			"1.0 1.1 0.0 2.0 2.1 3.0 2.2 1.2 2.3 2.4 3.1 3.2 3.3 1.3 3.4 0.1 0.2 0.3 0.4 1.4", 26},
+		{"seed7", New(7, 0),
+			"2.0 3.0 1.0 1.1 0.0 1.2 0.1 2.1 1.3 2.2 1.4 3.1 0.2 3.2 3.3 2.3 3.4 0.3 2.4 0.4", 26},
+		// Change points at steps 5 and 8 demote the yielding thread
+		// (s.current) twice: 3 is preempted after 3.3, then 2 after 2.2.
+		{"pct-depth3", NewPCT(0, 0, 3, 25),
+			"3.0 3.1 3.2 3.3 2.0 2.1 2.2 1.0 1.1 1.2 1.3 1.4 0.0 0.1 0.2 0.3 0.4 3.4 2.3 2.4", 26},
+	}
+	for _, c := range cases {
+		got, steps := runFourByFive(t, c.s)
+		if got != c.want || steps != c.steps {
+			t.Errorf("%s: schedule\n got %q steps %d\nwant %q steps %d", c.name, got, steps, c.want, c.steps)
+		}
+	}
+}
+
+// BenchmarkHandoff measures one scheduling decision among 8 yielding
+// threads; ns/handoff includes the picks that keep the same thread running.
+func BenchmarkHandoff(b *testing.B) {
+	const threads = 8
+	per := b.N/threads + 1
+	s := New(1, 0)
+	b.ResetTimer()
+	err := s.Run(func(th *Thread) {
+		var kids []*Thread
+		for i := 0; i < threads; i++ {
+			kids = append(kids, th.Spawn(func(c *Thread) {
+				for j := 0; j < per; j++ {
+					c.Yield()
+				}
+			}))
+		}
+		for _, k := range kids {
+			th.Join(k)
+		}
+	})
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Steps()), "ns/handoff")
 }

@@ -21,15 +21,16 @@ import (
 //
 // Every `op` line after a `thread` line belongs to that thread.
 
-// Save writes the workload in the text format.
+// Save writes the workload in the text format. A bufio.Writer's write error
+// sticks, so the final Flush reports any that occurred.
 func Save(w io.Writer, wl *Workload) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# hawkset workload\nworkload %s\nseed %d\n", sanitize(wl.Name), wl.Seed)
+	bw.WriteString("# hawkset workload\nworkload " + sanitize(wl.Name) + "\nseed " + strconv.FormatInt(wl.Seed, 10) + "\n")
 	for _, op := range wl.Load {
 		writeOp(bw, "load", op)
 	}
 	for i, ops := range wl.Threads {
-		fmt.Fprintf(bw, "thread %d\n", i)
+		bw.WriteString("thread " + strconv.Itoa(i) + "\n")
 		for _, op := range ops {
 			writeOp(bw, "op", op)
 		}
@@ -44,12 +45,23 @@ func sanitize(s string) string {
 	return strings.ReplaceAll(s, " ", "_")
 }
 
+// writeOp appends one op line straight into bw's free buffer space, so no
+// line goes through fmt.
 func writeOp(bw *bufio.Writer, tag string, op Op) {
+	b := append(bw.AvailableBuffer(), tag...)
+	b = append(b, ' ')
+	b = append(b, op.Kind.String()...)
+	b = appendField(b, op.Key)
+	b = appendField(b, op.Value)
 	if op.Kind == OpWrite {
-		fmt.Fprintf(bw, "%s %s %d %d %d %d\n", tag, op.Kind, op.Key, op.Value, op.Off, op.Len)
-		return
+		b = appendField(b, op.Off)
+		b = appendField(b, op.Len)
 	}
-	fmt.Fprintf(bw, "%s %s %d %d\n", tag, op.Kind, op.Key, op.Value)
+	bw.Write(append(b, '\n'))
+}
+
+func appendField(b []byte, v uint64) []byte {
+	return strconv.AppendUint(append(b, ' '), v, 10)
 }
 
 var kindByName = func() map[string]OpKind {

@@ -2,6 +2,8 @@ package ycsb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -348,6 +350,30 @@ func TestZetaMemoBitIdentical(t *testing.T) {
 	for call := 0; call < 2; call++ {
 		if got := zetaStatic(n, theta); math.Float64bits(got) != math.Float64bits(fresh) {
 			t.Fatalf("call %d: zetaStatic = %v, want %v", call, got, fresh)
+		}
+	}
+}
+
+// TestSaveBytesPinned pins Save's exact output bytes (sha256) for every spec
+// shape at one seed; FSSpec covers the six-field write lines.
+func TestSaveBytesPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"default", DefaultSpec(500), "ff5f5b9782d36888867fa563771a7bf72b75d7a8072538998e9af7ca595719a2"},
+		{"file", FileSpec(200), "cdae21412e0fdde7d3da6bc869eb507c324dc0a633f0f01968370a22742cdd24"},
+		{"memcached", MemcachedSpec(300), "ae837f4ff0c392c3fbd8bcdf627c1ff15390ce0f426bfb924cc65b2bcc50b8e0"},
+		{"fs", FSSpec(400), "9c7ec4cc06c804fc394b7102021c2a02e2bc562c8fb0e6aa17387f09d1668aa1"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := Save(&buf, Generate(c.spec, 13)); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s: Save sha256 = %s, want %s", c.name, got, c.want)
 		}
 	}
 }
